@@ -4,7 +4,7 @@ Classifies any d-state, m-neighbor rule as reversible, strictly irreversible,
 or (trivially / non-trivially) semi-reversible, and derives the arithmetic
 progressions of lattice sizes for which it is irreversible.  Verdicts are
 cross-validated by an exhaustive enumeration oracle and an independent
-transfer-matrix oracle over the rule's de Bruijn graph.
+pair-graph oracle over the rule's de Bruijn graph.
 """
 
 from .classifier import (
@@ -23,8 +23,8 @@ from .debruijn import (
     DeBruijnGraph,
     build_graph,
     export_debruijn_dot,
-    pair_matrix,
     pair_trace_oracle,
+    reversible_by_pair_graph,
 )
 from .dynamics import (
     brute_force_reversible,

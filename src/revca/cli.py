@@ -313,7 +313,14 @@ def main(argv: list[str] | None = None) -> int:
     except (RuleFormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 1
 
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -3,13 +3,13 @@
 The graph has the d^(m-1) words of length m-1 as nodes and one edge per RMT
 (the word overlap a·x -> x·b carries RMT axb and its output).  Cycles of
 length n correspond one-to-one with the RMT sequences of n-cell
-configurations, so counting closed walk *pairs* with equal outputs decides
-injectivity of the global map: trace(M^n) counts pairs (x, y) with
-G_n(x) = G_n(y), and equals d^n exactly when only the diagonal pairs remain.
-
-All matrix arithmetic is exact.  A numpy int64 fast path is used while a
-proven magnitude bound rules out overflow; otherwise multiplication falls
-back to Python big integers.
+configurations, so the closed walks of length n in the pair graph (edges:
+RMT pairs with equal output) are the pairs (x, y) with G_n(x) = G_n(y).  For
+m >= 2 a pair with x != y passes an off-diagonal node (u, v), u != v, so G_n
+is injective iff no closed walk of length n passes one (Amoroso & Patt, 1972;
+Sutner, 1991).  The oracle walks Boolean bitsets of the starts (u, v), u < v
+(a walk through (v, u) mirrors one through (u, v)); Brent's cycle detection
+on the eventually periodic walk state decides every n.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 
 from .rulespace import Rule
 
-_INT64_SAFE = 1 << 62
+# walk state, cycle-detection copy and gather buffer together
+PAIR_GRAPH_BYTE_LIMIT = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -70,120 +71,110 @@ def export_debruijn_dot(graph: DeBruijnGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_FLOAT_SAFE = 1 << 53  # float64 arithmetic on integers is exact below this
+def _walk_bytes(rule: Rule) -> tuple[int, int]:
+    """Bytes of one walk state and, at most, of the gather buffer."""
+    w = rule.params.node_width
+    words = -(-(w * (w - 1) // 2) // 64)
+    # one edge per equal-output RMT pair, plus at most one edge from the zero
+    # row into each off-diagonal node that has no incoming edge
+    edges = sum(c * c for c in np.bincount(rule.table).tolist()) + w * w - w
+    return (w * w + 1) * words * 8, edges * words * 8
 
 
-class ExactMatrix:
-    """Square matrix of non-negative integers with exact multiplication.
+class _PairWalk:
+    """Packed bitsets of the start nodes that reach each pair node in t steps.
 
-    Small entries are multiplied as float64 (BLAS; exact while every partial
-    sum stays below 2^53), midsize entries as int64, and anything bigger as
-    Python big integers.  All three tiers compute the same exact values.
+    Row a*w + b of `state` belongs to the pair node (a, b); the extra last row
+    stays zero and feeds the nodes that have no incoming edge.
     """
 
-    __slots__ = ("dim", "_array", "_rows", "_max")
+    def __init__(self, rule: Rule) -> None:
+        p = rule.params
+        state_bytes, gather_bytes = _walk_bytes(rule)
+        if 2 * state_bytes + gather_bytes > PAIR_GRAPH_BYTE_LIMIT:
+            raise ValueError(
+                f"pair-graph oracle for d={p.d}, m={p.m} needs 2 x {state_bytes} bytes "
+                f"of walk state and {gather_bytes} bytes of gather buffer, over the "
+                f"limit {PAIR_GRAPH_BYTE_LIMIT}"
+            )
+        d, w = p.d, p.node_width
+        nodes = w * w
+        # edge (r, s) ends at (r mod w, s mod w); r = a*w + (r mod w), so
+        # listing same[tr, ts, a, b] in C order sorts the edges by target
+        cols = np.asarray(rule.table).reshape(d, w).T
+        same = cols[:, None, :, None] == cols[None, :, None, :]
+        counts = same.sum(axis=(2, 3))
+        empty = counts == 0
+        same[empty, 0, 0] = True
+        counts[empty] = 1
+        tr, ts, a, b = np.nonzero(same)
+        h = w // d
+        self.src = (a * h + tr // d) * w + b * h + ts // d
+        self.src[empty[tr, ts]] = nodes
+        self.offsets = np.zeros(nodes, dtype=np.intp)
+        np.cumsum(counts.ravel()[:-1], out=self.offsets[1:])
 
-    def __init__(self, data):
-        if isinstance(data, np.ndarray):
-            self._array = data
-            self._rows = None
-            self.dim = data.shape[0]
-            self._max = int(data.max()) if data.size else 0
-        else:
-            self._array = None
-            self._rows = data
-            self.dim = len(data)
-            self._max = max(max(row) for row in data) if data else 0
+        word = np.arange(w)
+        u, v = np.nonzero(word[:, None] < word)
+        k = np.arange(u.size)
+        words = -(-u.size // 64)
+        self.state = np.zeros((nodes + 1, words), dtype=np.uint64)
+        self.gather = np.empty((self.src.size, words), dtype=np.uint64)
+        self._own = (u * w + v) * words + k // 64  # flat index of each start's bit
+        self._bits = np.left_shift(np.uint64(1), (k % 64).astype(np.uint64))
+        self.state.flat[self._own] = self._bits
 
-    @classmethod
-    def identity(cls, dim: int) -> "ExactMatrix":
-        return cls(np.eye(dim, dtype=np.float64))
+    def step(self) -> None:
+        np.take(self.state, self.src, axis=0, out=self.gather, mode="clip")
+        np.bitwise_or.reduceat(self.gather, self.offsets, axis=0, out=self.state[:-1])
 
-    @property
-    def rows(self) -> list[list[int]]:
-        if self._rows is None:
-            self._rows = [[int(v) for v in row] for row in self._array]
-        return self._rows
-
-    def max_entry(self) -> int:
-        return self._max
-
-    def trace(self) -> int:
-        if self._array is not None:
-            # sum in int64: a float64 sum of many near-2^53 entries may round
-            return int(np.trace(self._array.astype(np.int64)))
-        return sum(self._rows[i][i] for i in range(self.dim))
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        bound = self.max_entry() * other.max_entry() * self.dim
-        if self._array is not None and other._array is not None:
-            if bound < _FLOAT_SAFE:
-                a = self._array.astype(np.float64, copy=False)
-                b = other._array.astype(np.float64, copy=False)
-                return ExactMatrix(a @ b)
-            if bound < _INT64_SAFE:
-                a = self._array.astype(np.int64, copy=False)
-                b = other._array.astype(np.int64, copy=False)
-                return ExactMatrix(a @ b)
-        cols = list(zip(*other.rows))
-        return ExactMatrix(
-            [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.rows]
-        )
+    def injective(self) -> bool:
+        """No start reaches itself: no closed walk of length t leaves the diagonal."""
+        return not (self.state.take(self._own) & self._bits).any()
 
 
-def pair_matrix(rule: Rule) -> ExactMatrix:
-    """Transfer matrix over node pairs; entry counts RMT pairs with equal output."""
-    width = rule.params.node_width
-    d = rule.params.d
-    dim = width * width
-    table = np.asarray(rule.table)
-    matrix = np.zeros((dim, dim), dtype=np.float64)
-    for x in range(d):
-        (group,) = np.nonzero(table == x)
-        src = (group // d)[:, None] * width + (group // d)[None, :]
-        dst = (group % width)[:, None] * width + (group % width)[None, :]
-        np.add.at(matrix, (src.ravel(), dst.ravel()), 1)
-    return ExactMatrix(matrix)
+def _walk_verdicts(rule: Rule, limit: int) -> tuple[list[bool], int]:
+    """Verdicts for n = 1, 2, ... up to `limit`, stopping when the state repeats.
 
-
-def matrix_power(matrix: ExactMatrix, n: int) -> ExactMatrix:
-    """n-th power by repeated squaring."""
-    if n < 0:
-        raise ValueError("negative power")
-    result = ExactMatrix.identity(matrix.dim)
-    base = matrix
-    while n:
-        if n & 1:
-            result = result @ base
-        n >>= 1
-        if n:
-            base = base @ base
-    return result
+    Returns the verdicts and the period of the state sequence, or 0 when no
+    repeat was seen.  With a period P, the verdict at every n past the list
+    equals the one at n - P.
+    """
+    walk = _PairWalk(rule)
+    saved = walk.state.copy()
+    verdicts: list[bool] = []
+    power = period = 1
+    while len(verdicts) < limit:
+        walk.step()
+        verdicts.append(walk.injective())
+        if (walk.state == saved).all():
+            return verdicts, period
+        if period == power:
+            np.copyto(saved, walk.state)
+            power *= 2
+            period = 0
+        period += 1
+    return verdicts, 0
 
 
 def pair_trace_oracle(rule: Rule, n: int) -> bool:
-    """True iff the CA is reversible for size n, decided by trace(M^n) = d^n."""
+    """True iff the CA is reversible for size n, by walks in the pair graph.
+
+    Takes at most n steps, and stops as soon as cycle detection sees the walk
+    state repeat, after O(transient + period) steps, so a huge n costs no
+    more than the cycle.
+    """
     if n < 1:
         raise ValueError(f"size must be >= 1, got {n}")
-    m = matrix_power(pair_matrix(rule), n)
-    return m.trace() == rule.params.d**n
-
-
-def pair_traces_up_to(rule: Rule, upto: int) -> list[int]:
-    """trace(M^n) for n = 1..upto via incremental powers (one multiply per n)."""
-    matrix = pair_matrix(rule)
-    traces = []
-    power = matrix
-    for n in range(1, upto + 1):
-        if n > 1:
-            power = power @ matrix
-        traces.append(power.trace())
-    return traces
+    verdicts, period = _walk_verdicts(rule, n)
+    if n > len(verdicts):
+        n -= period * -(-(n - len(verdicts)) // period)
+    return verdicts[n - 1]
 
 
 def reversible_by_pair_graph(rule: Rule, upto: int) -> list[bool]:
-    """Reversibility verdicts for n = 1..upto from the pair-graph traces."""
-    d = rule.params.d
-    return [t == d ** (i + 1) for i, t in enumerate(pair_traces_up_to(rule, upto))]
+    """Reversibility verdicts for n = 1..upto from walks in the pair graph."""
+    verdicts, period = _walk_verdicts(rule, upto)
+    while len(verdicts) < upto:
+        verdicts.append(verdicts[-period])
+    return verdicts

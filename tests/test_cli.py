@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import revca
 from revca.classifier import OracleMismatchError, classify
 from revca.cli import main
 from revca.rulespace import RuleParams, rule_from_decimal
@@ -91,6 +96,33 @@ class TestCheckAndOracle:
         )
         assert code == 0
         assert out.strip() == "reversible"
+
+    def test_oracle_pairgraph_over_memory_limit(self, capsys):
+        code, out, err = run(
+            capsys,
+            "oracle", "--states", "2", "--neighborhood", "12", "--rule", "01" * 2048,
+            "--n", "5", "--method", "pairgraph",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: pair-graph oracle") and "limit" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_oracle_out_of_memory_exits_1(self, capsys, monkeypatch):
+        import revca.cli as cli
+
+        def exhausted(rule, n):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "pair_trace_oracle", exhausted)
+        code, out, err = run(
+            capsys,
+            "oracle", "--states", "2", "--neighborhood", "12", "--rule", "01" * 2048,
+            "--n", "5", "--method", "pairgraph",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: out of memory\n"
 
     def test_oracle_bruteforce(self, capsys):
         code, out, _ = run(
@@ -232,3 +264,31 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)["class"] == "NonTriviallySemiReversible"
+
+
+class TestModuleEntryPoint:
+    """`python -m revca.cli` runs the same front end as the `revca` script."""
+
+    def run_module(self, *argv):
+        src = str(Path(revca.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "revca.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_classify(self):
+        proc = self.run_module(
+            "classify", "--states", "2", "--neighborhood", "3", "--rule", "75"
+        )
+        assert proc.returncode == 0
+        assert "n ≡ 0 (mod 2), n ≥ 2" in proc.stdout
+
+    def test_bad_rule_exits_1(self):
+        proc = self.run_module(
+            "classify", "--states", "3", "--neighborhood", "3", "--rule", "012"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "length 3" in proc.stderr and "Traceback" not in proc.stderr

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revca.debruijn import (
-    ExactMatrix,
+    PAIR_GRAPH_BYTE_LIMIT,
+    _PairWalk,
+    _walk_bytes,
     build_graph,
     export_debruijn_dot,
-    matrix_power,
-    pair_matrix,
     pair_trace_oracle,
-    pair_traces_up_to,
     reversible_by_pair_graph,
 )
 from revca.dynamics import brute_force_reversible, rmt_sequence
-from revca.rulespace import Rule, RuleParams, parse_rule
+from revca.rulespace import Rule, RuleParams, parse_rule, tuple_of_rmt
 
 from conftest import FIG2_RULE, eca, rule33
 
@@ -32,6 +31,84 @@ def small_rule(draw):
 
 
 rules = st.composite(small_rule)()
+
+
+def exact_pair_traces(rule: Rule, upto: int) -> list[int]:
+    """trace(M^n), n = 1..upto, in Python integers; M counts equal-output RMT pairs."""
+    p = rule.params
+    d, w = p.d, p.node_width
+    matrix = np.zeros((w * w, w * w), dtype=object)
+    for r in range(p.table_size):
+        for s in range(p.table_size):
+            if rule.table[r] == rule.table[s]:
+                matrix[(r // d) * w + s // d, (r % w) * w + s % w] += 1
+    power = np.identity(w * w, dtype=object)
+    traces = []
+    for _ in range(upto):
+        power = power @ matrix
+        traces.append(int(np.trace(power)))
+    return traces
+
+
+def linear_rule(p: int, coeffs: tuple[int, ...]) -> Rule:
+    """The rule sum_k coeffs[k] * x_k mod p over the neighborhood x_-l .. x_r."""
+    params = RuleParams(p, len(coeffs))
+    table = tuple(
+        sum(c * x for c, x in zip(coeffs, tuple_of_rmt(r, params))) % p
+        for r in range(params.table_size)
+    )
+    return Rule(params, table)
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over GF(p); coefficient lists, lowest degree first, b nonzero."""
+    a = list(a)
+    inverse = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        q = a[-1] * inverse % p
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - q * c) % p
+        _trim(a)
+    return a
+
+
+def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return _poly_rem(_trim(prod), f, p)
+
+
+def circulant_reversible(coeffs: tuple[int, ...], p: int, n: int) -> bool:
+    """gcd(f(x), x^n - 1) == 1 over GF(p) for f = sum_k coeffs[k] x^k.
+
+    The size-n map of a linear rule is the circulant matrix of f mod x^n - 1,
+    invertible iff f and x^n - 1 share no factor.  gcd(f, x^n - 1) equals
+    gcd(f, (x^n mod f) - 1), so x^n is reduced by repeated squaring.
+    """
+    f = _trim([c % p for c in coeffs])
+    if len(f) <= 1:
+        return len(f) == 1
+    power, base = [1], _poly_rem([0, 1], f, p)
+    while n:
+        if n & 1:
+            power = _poly_mulmod(power, base, f, p)
+        base = _poly_mulmod(base, base, f, p)
+        n >>= 1
+    g = power + [0]  # power is empty when f divides x^n
+    g[0] = (g[0] - 1) % p
+    a, b = _trim(g), f
+    while a:
+        a, b = _poly_rem(b, a, p), a
+    return len(b) == 1
 
 
 class TestGraphShape:
@@ -86,7 +163,7 @@ class TestPairOracle:
     def test_identity_rule(self):
         rule = eca(204)
         assert pair_trace_oracle(rule, 10)
-        assert matrix_power(pair_matrix(rule), 10).trace() == 2**10
+        assert exact_pair_traces(rule, 10)[-1] == 2**10
 
     def test_eca75_parity(self):
         rule = eca(75)
@@ -94,16 +171,22 @@ class TestPairOracle:
         assert not pair_trace_oracle(rule, 100)
         assert pair_trace_oracle(rule, 101)
 
+    def test_eca75_huge_sizes(self):
+        # decided from the walk state's cycle, not by 10^9 steps
+        rule = eca(75)
+        assert not pair_trace_oracle(rule, 10**9)
+        assert pair_trace_oracle(rule, 10**9 + 1)
+
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             pair_trace_oracle(eca(75), 0)
 
     @given(rules)
-    @settings(max_examples=25, deadline=None)
-    def test_trace_at_least_diagonal(self, rule):
+    @settings(max_examples=20, deadline=None)
+    def test_agrees_with_exact_trace(self, rule):
         d = rule.params.d
-        for n, trace in enumerate(pair_traces_up_to(rule, 8), start=1):
-            assert trace >= d**n
+        expected = [t == d**n for n, t in enumerate(exact_pair_traces(rule, 10), start=1)]
+        assert reversible_by_pair_graph(rule, 10) == expected
 
     @given(rules)
     @settings(max_examples=25, deadline=None)
@@ -112,33 +195,59 @@ class TestPairOracle:
         for n in range(1, 9):
             assert verdicts[n - 1] == brute_force_reversible(rule, n)
 
-    def test_power_matches_incremental(self):
+    def test_single_size_matches_window(self):
         rule = rule33("012210210102012102210210012")
-        traces = pair_traces_up_to(rule, 20)
-        m = pair_matrix(rule)
-        for n in (1, 2, 7, 13, 20):
-            assert matrix_power(m, n).trace() == traces[n - 1]
+        verdicts = reversible_by_pair_graph(rule, 40)
+        for n in (1, 2, 7, 13, 20, 33, 40):
+            assert pair_trace_oracle(rule, n) == verdicts[n - 1]
 
 
-class TestExactMatrix:
-    def test_big_integer_fallback_is_exact(self):
-        # drive the same product through the float, int64 and bigint tiers
-        rows = [[3, 1], [0, 2]]
-        small = ExactMatrix([list(r) for r in rows])
-        big = ExactMatrix([[v << 200 for v in r] for r in rows])
-        prod_small = (small @ small).rows
-        prod_big = (big @ big).rows
-        for i in range(2):
-            for j in range(2):
-                assert prod_big[i][j] == prod_small[i][j] << 400
+class TestLinearRules:
+    """Linear rules over GF(p) against the circulant criterion."""
 
-    def test_power_zero_is_identity(self):
-        m = pair_matrix(eca(90))
-        assert matrix_power(m, 0).rows == ExactMatrix.identity(m.dim).rows
+    @pytest.mark.parametrize(
+        "p, coeffs",
+        [
+            (3, (1, 0, 0, 1)),
+            (2, (1, 0, 1, 0, 0, 1)),  # x-2 + x0 + x3: period 31
+            (2, (1, 0, 0, 1, 0, 0, 1)),
+            (7, (1, 1, 1)),
+        ],
+    )
+    def test_window(self, p, coeffs):
+        expected = [circulant_reversible(coeffs, p, n) for n in range(1, 25)]
+        assert reversible_by_pair_graph(linear_rule(p, coeffs), 24) == expected
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            ExactMatrix([[1]]) @ ExactMatrix([[1, 0], [0, 1]])
+    def test_huge_sizes(self):
+        coeffs = (1, 0, 1, 0, 0, 1)
+        rule = linear_rule(2, coeffs)
+        for n in (31 * 10**6, 31 * 10**6 + 1, 10**9 + 7):
+            assert pair_trace_oracle(rule, n) == circulant_reversible(coeffs, 2, n)
+
+    def test_criterion_spot_values(self):
+        # x-1 + x0 + x1 over GF(2) is ECA 150: irreversible exactly for 3 | n
+        assert [circulant_reversible((1, 1, 1), 2, n) for n in range(1, 7)] == [
+            True, True, False, True, True, False
+        ]
+        # the shift x0 is a unit: reversible for every n
+        assert all(circulant_reversible((0, 1, 0), 2, n) for n in (1, 5, 64))
+
+
+class TestWalkMemory:
+    @given(rules)
+    @settings(max_examples=20, deadline=None)
+    def test_bound_covers_allocation(self, rule):
+        walk = _PairWalk(rule)
+        state_bytes, gather_bytes = _walk_bytes(rule)
+        assert walk.state.nbytes == state_bytes
+        assert walk.gather.nbytes <= gather_bytes
+
+    def test_over_limit_raises_before_allocating(self):
+        rule = parse_rule("01" * 2048, RuleParams(2, 12))
+        state_bytes, gather_bytes = _walk_bytes(rule)
+        assert 2 * state_bytes + gather_bytes > PAIR_GRAPH_BYTE_LIMIT
+        with pytest.raises(ValueError, match=str(gather_bytes)):
+            reversible_by_pair_graph(rule, 24)
 
 
 class TestDot:
