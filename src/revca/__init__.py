@@ -12,10 +12,10 @@ from .classifier import (
     Classification,
     IrreversibilityExpression,
     OracleMismatchError,
+    SizeSet,
     classification_to_json,
     classify,
     is_reversible_for,
-    normalize_expressions,
     reversible_sizes,
     scan_violations,
 )

@@ -3,9 +3,11 @@
 Pipeline: the constant-RMT shortcut settles strictly irreversible rules, the
 balance shortcut settles unbalanced ones, and every other rule gets a
 minimized reachability tree whose nodes are checked against the per-level
-completeness conditions.  Violations become irreversibility expressions,
-arithmetic progressions (residue, modulus, smallest size) whose union is the
-set of sizes the CA is irreversible for.
+completeness conditions.  Violations become raw irreversibility expressions,
+arithmetic progressions (residue, modulus, smallest size) plus single sizes,
+whose union is the set of sizes the CA is irreversible for.  That set is held
+as one canonical SizeSet, from which membership, the class and the printed
+minimal expressions are all read.
 
 Every classification is cross-checked against the pair-graph oracle on a
 window of sizes before it is returned; a disagreement raises
@@ -16,19 +18,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
-from .debruijn import reversible_by_pair_graph
+from .debruijn import pair_graph_fits, reversible_by_pair_graph
 from .dynamics import brute_force_reversible
 from .mintree import MinimizedTree, build_minimized, exact_occurrences
 from .rulespace import Rule, is_balanced_rule, is_strictly_irreversible, wolfram_decimal
-from .rtree import (
-    node_balanced,
-    node_total,
-    restrict_special,
-    reversible_for_n_by_tree,
-)
+from .rtree import node_violates, reversible_for_n_by_tree
 
 DEFAULT_ORACLE_WINDOW = 24
 
@@ -76,78 +74,116 @@ class IrreversibilityExpression:
     def covers(self, n: int) -> bool:
         return n >= self.min_n and n % self.modulus == self.residue
 
-    def subset_of(self, other: "IrreversibilityExpression") -> bool:
-        return (
-            self.min_n >= other.min_n
-            and self.modulus % other.modulus == 0
-            and self.residue % other.modulus == other.residue
-        )
-
     def __str__(self) -> str:
         if self.is_segment:
             return f"n ≥ {self.min_n}"
         return f"n ≡ {self.residue} (mod {self.modulus}), n ≥ {self.min_n}"
 
 
-def normalize_expressions(
-    expressions: Iterable[IrreversibilityExpression],
-    sporadic: Iterable[int] = (),
-) -> tuple[tuple[IrreversibilityExpression, ...], tuple[int, ...]]:
-    """Canonical form: drop subsets, absorb sporadic sizes into adjacent segments.
-
-    Idempotent and independent of input order.  Returns the surviving
-    expressions (sorted) and the sporadic sizes not absorbed.
-    """
-    exprs = set(expressions)
-    sizes = set(sporadic)
-    changed = True
-    while changed:
-        changed = False
-        covered = {s for s in sizes if any(e.covers(s) for e in exprs)}
-        if covered:
-            sizes -= covered
-            changed = True
-        for s in sorted(sizes, reverse=True):
-            for e in list(exprs):
-                if e.is_segment and e.min_n == s + 1:
-                    exprs.remove(e)
-                    exprs.add(IrreversibilityExpression.segment(s))
-                    sizes.remove(s)
-                    changed = True
-                    break
-        # grow a progression one step earlier while that size is already
-        # covered elsewhere; coverage only grows, so the fixpoint is unique
-        for e in sorted(exprs):
-            prev = e.min_n - e.modulus
-            if prev >= 1 and (
-                prev in sizes or any(o != e and o.covers(prev) for o in exprs)
-            ):
-                exprs.remove(e)
-                exprs.add(
-                    IrreversibilityExpression(
-                        min_n=prev, modulus=e.modulus, residue=e.residue
-                    )
-                )
-                changed = True
-        # distinct expressions cannot be mutual subsets, so one pass suffices
-        redundant = {e for e in exprs if any(o != e and e.subset_of(o) for o in exprs)}
-        if redundant:
-            exprs -= redundant
-            changed = True
-    return tuple(sorted(exprs)), tuple(sorted(sizes))
-
-
 @dataclass(frozen=True)
-class Violation:
-    node_id: int
-    kind: str  # "intermediate" or "special"
-    iota: int  # 0 for intermediate violations
-    expression: IrreversibilityExpression | None
-    sporadic_size: int | None
+class SizeSet:
+    """An eventually periodic set of lattice sizes, in canonical form.
+
+    A size n >= start is a member iff n mod period is in residues; head lists
+    the members below start.  start is the smallest threshold from which the
+    set is periodic and period its minimal period, so equal sets are equal
+    values.
+    """
+
+    start: int
+    period: int
+    residues: frozenset[int]
+    head: tuple[int, ...]
+
+    @classmethod
+    def of(
+        cls,
+        progressions: Iterable[IrreversibilityExpression] = (),
+        sizes: Iterable[int] = (),
+    ) -> "SizeSet":
+        """The union of raw progressions and single sizes."""
+        progressions = set(progressions)
+        sizes = set(sizes)
+
+        def raw(n: int) -> bool:
+            return n in sizes or any(e.covers(n) for e in progressions)
+
+        period = lcm(*(e.modulus for e in progressions))
+        start = max([1, *(e.min_n for e in progressions), *(s + 1 for s in sizes)])
+        residues = {n % period for n in range(start, start + period) if raw(n)}
+        period = next(
+            q
+            for q in range(1, period + 1)
+            if period % q == 0 and all((r + q) % period in residues for r in residues)
+        )
+        residues = frozenset(r % period for r in residues)
+        while start > 1 and raw(start - 1) == ((start - 1) % period in residues):
+            start -= 1
+        return cls(start, period, residues, tuple(n for n in range(1, start) if raw(n)))
+
+    def __contains__(self, n: int) -> bool:
+        if n >= self.start:
+            return n % self.period in self.residues
+        return n in self.head
+
+    def __bool__(self) -> bool:
+        return bool(self.residues or self.head)
+
+    @property
+    def cofinite(self) -> bool:
+        return len(self.residues) == self.period
+
+    @cached_property
+    def expressions(self) -> tuple[IrreversibilityExpression, ...]:
+        """The minimal progressions: the maximal residue classes inside the
+        set, less any class the others cover (finest first), each extended
+        back while its earlier member is in the set."""
+        p, res = self.period, self.residues
+        classes: list[tuple[int, int]] = []  # (residue, modulus)
+        for q in (q for q in range(1, p + 1) if p % q == 0):
+            for r in range(q):
+                if all(x in res for x in range(r, p, q)) and not any(
+                    q % q2 == 0 and r % q2 == r2 for r2, q2 in classes
+                ):
+                    classes.append((r, q))
+        for r, q in sorted(classes, key=lambda c: (-c[1], c[0])):
+            others = [c for c in classes if c != (r, q)]
+            if all(any(x % q2 == r2 for r2, q2 in others) for x in range(r, p, q)):
+                classes = others
+        out = []
+        for r, q in classes:
+            n = self.start + (r - self.start) % q
+            while n > q and n - q in self:
+                n -= q
+            out.append(IrreversibilityExpression(min_n=n, modulus=q, residue=r))
+        return tuple(sorted(out))
+
+    @property
+    def sporadic(self) -> tuple[int, ...]:
+        """Members that no minimal progression covers."""
+        return tuple(
+            n for n in self.head if not any(e.covers(n) for e in self.expressions)
+        )
+
+    def __str__(self) -> str:
+        parts = [str(e) for e in self.expressions]
+        parts.extend(f"n = {s}" for s in self.sporadic)
+        return "; ".join(parts) if parts else "∅"
+
+    def to_json(self) -> dict:
+        return {
+            "expressions": [
+                {"residue": e.residue, "modulus": e.modulus, "min_n": e.min_n}
+                for e in self.expressions
+            ],
+            "sporadic_irreversible": list(self.sporadic),
+        }
 
 
-def _scan(tree: MinimizedTree, rule: Rule) -> list[Violation]:
-    """All per-node condition failures with the sizes they rule out.
+def scan_violations(
+    tree: MinimizedTree, rule: Rule
+) -> tuple[list[IrreversibilityExpression], list[int]]:
+    """Raw progressions and single sizes ruled out by per-node condition failures.
 
     Placements come from the exact occurrence levels of each node (the level
     sequence of the unrolled tree is eventually periodic, so every node's
@@ -162,66 +198,45 @@ def _scan(tree: MinimizedTree, rule: Rule) -> list[Violation]:
     owned by the brute-forced small-size table and dropped).
     """
     p = rule.params
-    out: list[Violation] = []
-    full = p.table_size
-    occurrences = exact_occurrences(tree)
-    for nid in range(tree.unique_nodes):
-        gamma = tree.gammas[nid]
-        occ = occurrences[nid]
-        if node_total(gamma) != full or not node_balanced(gamma, rule):
-            out.append(
-                Violation(
-                    nid,
-                    "intermediate",
-                    0,
-                    IrreversibilityExpression.segment(occ.min_level + p.m),
-                    None,
-                )
-            )
+    progressions: list[IrreversibilityExpression] = []
+    sizes: list[int] = []
+    for gamma, occ in zip(tree.gammas, exact_occurrences(tree)):
+        if node_violates(gamma, 0, rule):
+            progressions.append(IrreversibilityExpression.segment(occ.min_level + p.m))
         for iota in range(1, p.m):
-            restricted = restrict_special(gamma, iota, p)
-            if node_total(restricted) == p.d**iota and node_balanced(restricted, rule):
-                continue
-            for anchor in occ.anchors:
-                out.append(
-                    Violation(
-                        nid,
-                        "special",
-                        iota,
-                        IrreversibilityExpression.progression(
-                            anchor + iota, occ.period
-                        ),
-                        None,
-                    )
+            if node_violates(gamma, iota, rule):
+                progressions.extend(
+                    IrreversibilityExpression.progression(anchor + iota, occ.period)
+                    for anchor in occ.anchors
                 )
-            for level in occ.sporadic:
-                if level + iota >= p.m:
-                    out.append(Violation(nid, "special", iota, None, level + iota))
-    return out
-
-
-def scan_violations(tree: MinimizedTree, rule: Rule) -> list[IrreversibilityExpression]:
-    """Raw irreversibility expressions read off the minimized tree."""
-    return [v.expression for v in _scan(tree, rule) if v.expression is not None]
+                sizes.extend(
+                    level + iota for level in occ.sporadic if level + iota >= p.m
+                )
+    return progressions, sizes
 
 
 @dataclass(frozen=True)
 class TreeEvidence:
     unique_nodes: int
     height: int
-    violating_nodes: tuple[int, ...]
-    decided_at: int  # creation level of the first trivial trigger, else height
 
 
 @dataclass(frozen=True)
 class Classification:
     rule: Rule
     ca_class: CAClass
-    expressions: tuple[IrreversibilityExpression, ...]
-    sporadic_irreversible: tuple[int, ...]
+    irreversible: SizeSet  # sizes below m are answered by small_n_reversible
     small_n_reversible: dict[int, bool]
     evidence: TreeEvidence | None
     verified_up_to: int
+
+    @property
+    def expressions(self) -> tuple[IrreversibilityExpression, ...]:
+        return self.irreversible.expressions
+
+    @property
+    def sporadic_irreversible(self) -> tuple[int, ...]:
+        return self.irreversible.sporadic
 
 
 class OracleMismatchError(Exception):
@@ -243,105 +258,53 @@ class OracleMismatchError(Exception):
         )
 
 
-def _covered(
-    n: int,
-    expressions: Sequence[IrreversibilityExpression],
-    sporadic: Sequence[int],
-) -> bool:
-    return n in sporadic or any(e.covers(n) for e in expressions)
-
-
-def complement_is_finite(
-    expressions: Sequence[IrreversibilityExpression],
-    sporadic: Sequence[int],
-    start: int,
-) -> bool:
-    """Is {n >= start} minus the expressed set finite?  Exact: beyond every
-    min_n, coverage is a union of residue classes modulo the lcm of the moduli."""
-    if not expressions:
-        return False
-    period = lcm(*(e.modulus for e in expressions))
-    horizon = max(
-        [e.min_n for e in expressions] + [s + 1 for s in sporadic] + [start]
-    )
-    return all(
-        _covered(n, expressions, sporadic)
-        for n in range(horizon + 1, horizon + period + 1)
-    )
-
-
 def classify(
     rule: Rule,
     verified_up_to: int = DEFAULT_ORACLE_WINDOW,
     max_nodes: int = 1_000_000,
 ) -> Classification:
-    """Classify a rule and cross-check the verdicts on the oracle window."""
+    """Classify a rule and cross-check the verdicts on the oracle window.
+
+    When a shortcut decided the class and the pair-graph walk would pass its
+    memory limit, the cross-check is skipped and verified_up_to is 0.
+    """
     p = rule.params
     small = {n: brute_force_reversible(rule, n) for n in range(1, p.m)}
     evidence: TreeEvidence | None = None
-    sporadic: tuple[int, ...] = ()
 
     if is_strictly_irreversible(rule):
         ca_class = CAClass.STRICTLY_IRREVERSIBLE
-        expressions = (IrreversibilityExpression.segment(1),)
+        irreversible = SizeSet.of([IrreversibilityExpression.segment(1)])
     elif not is_balanced_rule(rule):
         ca_class = CAClass.TRIVIALLY_SEMI_REVERSIBLE
-        expressions = (IrreversibilityExpression.segment(p.m),)
+        irreversible = SizeSet.of([IrreversibilityExpression.segment(p.m)])
     else:
         tree = build_minimized(rule, max_nodes=max_nodes, stop_on_violation=True)
+        evidence = TreeEvidence(unique_nodes=tree.unique_nodes, height=tree.height)
         if tree.stopped_at is not None:
             # a violation during construction proves irreversibility for the
             # whole tail n >= stop_horizon; the finitely many sizes below are
             # decided exactly on their own reachability trees
-            ca_class = CAClass.TRIVIALLY_SEMI_REVERSIBLE
             horizon = tree.stop_horizon
-            expressions, sporadic = normalize_expressions(
+            irreversible = SizeSet.of(
                 [IrreversibilityExpression.segment(horizon)],
-                [
-                    n
-                    for n in range(p.m, horizon)
-                    if not reversible_for_n_by_tree(rule, n)
-                ],
-            )
-            evidence = TreeEvidence(
-                unique_nodes=tree.unique_nodes,
-                height=tree.height,
-                violating_nodes=(tree.unique_nodes - 1,),
-                decided_at=tree.stopped_at,
+                [n for n in range(p.m, horizon) if not reversible_for_n_by_tree(rule, n)],
             )
         else:
-            violations = _scan(tree, rule)
-            expressions, sporadic = normalize_expressions(
-                [v.expression for v in violations if v.expression is not None],
-                [v.sporadic_size for v in violations if v.sporadic_size is not None],
-            )
-            trigger_ids = [
-                v.node_id
-                for v in violations
-                if (v.expression is not None and v.expression.is_segment)
-                or v.sporadic_size is not None
-            ]
-            decided_at = (
-                tree.creation_level[min(trigger_ids)] if trigger_ids else tree.height
-            )
-            evidence = TreeEvidence(
-                unique_nodes=tree.unique_nodes,
-                height=tree.height,
-                violating_nodes=tuple(sorted({v.node_id for v in violations})),
-                decided_at=decided_at,
-            )
-            if not expressions and not sporadic and all(small.values()):
-                ca_class = CAClass.REVERSIBLE
-            elif complement_is_finite(expressions, sporadic, p.m):
-                ca_class = CAClass.TRIVIALLY_SEMI_REVERSIBLE
-            else:
-                ca_class = CAClass.NON_TRIVIALLY_SEMI_REVERSIBLE
+            irreversible = SizeSet.of(*scan_violations(tree, rule))
+        if not irreversible and all(small.values()):
+            ca_class = CAClass.REVERSIBLE
+        elif irreversible.cofinite:
+            ca_class = CAClass.TRIVIALLY_SEMI_REVERSIBLE
+        else:
+            ca_class = CAClass.NON_TRIVIALLY_SEMI_REVERSIBLE
 
+    if evidence is None and not pair_graph_fits(rule):
+        verified_up_to = 0
     result = Classification(
         rule=rule,
         ca_class=ca_class,
-        expressions=expressions,
-        sporadic_irreversible=sporadic,
+        irreversible=irreversible,
         small_n_reversible=small,
         evidence=evidence,
         verified_up_to=verified_up_to,
@@ -360,7 +323,7 @@ def is_reversible_for(c: Classification, n: int) -> bool:
         raise ValueError(f"size must be >= 1, got {n}")
     if n < c.rule.params.m:
         return c.small_n_reversible[n]
-    return not _covered(n, c.expressions, c.sporadic_irreversible)
+    return n not in c.irreversible
 
 
 def reversible_sizes(c: Classification, limit: int) -> list[int]:
@@ -373,9 +336,7 @@ def reversible_sizes(c: Classification, limit: int) -> list[int]:
 def expressions_text(c: Classification) -> str:
     if c.ca_class is CAClass.STRICTLY_IRREVERSIBLE:
         return "∀ n ∈ ℕ"
-    parts = [str(e) for e in c.expressions]
-    parts.extend(f"n = {s}" for s in c.sporadic_irreversible)
-    return "; ".join(parts) if parts else "∅"
+    return str(c.irreversible)
 
 
 def classification_to_json(c: Classification) -> dict:
@@ -386,11 +347,7 @@ def classification_to_json(c: Classification) -> dict:
         "m": p.m,
         "decimal": wolfram_decimal(c.rule),
         "class": c.ca_class.value,
-        "expressions": [
-            {"residue": e.residue, "modulus": e.modulus, "min_n": e.min_n}
-            for e in c.expressions
-        ],
-        "sporadic_irreversible": list(c.sporadic_irreversible),
+        **c.irreversible.to_json(),
         "small_n_reversible": {str(n): v for n, v in sorted(c.small_n_reversible.items())},
         "tree": (
             None

@@ -231,11 +231,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "decimal": value,
             "rule": str(rule),
             "class": c.ca_class.value,
-            "expressions": [
-                {"residue": e.residue, "modulus": e.modulus, "min_n": e.min_n}
-                for e in c.expressions
-            ],
-            "sporadic_irreversible": list(c.sporadic_irreversible),
+            **c.irreversible.to_json(),
             "tree": (
                 None
                 if c.evidence is None

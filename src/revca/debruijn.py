@@ -81,6 +81,12 @@ def _walk_bytes(rule: Rule) -> tuple[int, int]:
     return (w * w + 1) * words * 8, edges * words * 8
 
 
+def pair_graph_fits(rule: Rule) -> bool:
+    """Does the pair-graph walk of this rule fit in PAIR_GRAPH_BYTE_LIMIT?"""
+    state_bytes, gather_bytes = _walk_bytes(rule)
+    return 2 * state_bytes + gather_bytes <= PAIR_GRAPH_BYTE_LIMIT
+
+
 class _PairWalk:
     """Packed bitsets of the start nodes that reach each pair node in t steps.
 
@@ -90,8 +96,8 @@ class _PairWalk:
 
     def __init__(self, rule: Rule) -> None:
         p = rule.params
-        state_bytes, gather_bytes = _walk_bytes(rule)
-        if 2 * state_bytes + gather_bytes > PAIR_GRAPH_BYTE_LIMIT:
+        if not pair_graph_fits(rule):
+            state_bytes, gather_bytes = _walk_bytes(rule)
             raise ValueError(
                 f"pair-graph oracle for d={p.d}, m={p.m} needs 2 x {state_bytes} bytes "
                 f"of walk state and {gather_bytes} bytes of gather buffer, over the "

@@ -2,11 +2,17 @@
 
 Construction is level-synchronous.  Every unique node is expanded exactly
 once; a child equal to an existing node only adds a link and (when not
-already implied) the discovery level.  A node whose level set holds
-{i, i'} carries a loop of period i'-i: it reappears at i + k(i'-i), which is
-what makes a finite tree describe every lattice size at once.
+already implied) the discovery level.
 
-Level bookkeeping refines the construction sketch above in three ways, all
+The level sets are construction-time bookkeeping: they drive the period-1
+loop early stop and label the exports, but they are not the exact set of
+levels a node occupies in the unrolled tree: a node whose level set is
+{i, i'} can also sit at levels off the progression i + k(i'-i).  The exact
+occurrences come from the level sequence: the child map drives a walk through
+node sets that is eventually periodic, and `exact_occurrences` and
+`occurs_at_level` read it.
+
+Level bookkeeping refines the plain discovery levels in three ways, all
 needed for nested loops to settle into a fixpoint:
 
 * a new node inherits {l+1 : l in parent's levels}, not just the current level;
@@ -25,7 +31,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .rtree import Gamma, child_node, gamma_rmts, restrict_special, root_node
+from .rtree import Gamma, child_node, gamma_rmts, node_violates, root_node
 from .rulespace import Rule
 
 DEFAULT_NODE_LIMIT = 1_000_000
@@ -64,7 +70,6 @@ class MinimizedTree:
     gammas: list[Gamma]
     levels: list[list[int]]  # sorted, pruned explicit level sets
     children: list[list[int]]  # d child ids per node
-    creation_level: list[int]
     height: int  # level at which the last unique node was added
     stopped_at: int | None = None  # construction level of the first violation
     stop_horizon: int | None = None  # irreversible for every n >= this
@@ -107,7 +112,6 @@ def build_minimized(
     levels: list[list[int]] = [[0]]
     children: list[list[int]] = [[-1] * p.d]
     created: list[list[int]] = [[]]  # nodes first built from this one
-    creation_level = [0]
     height = 0
 
     def add_level(start: int, new_level: int) -> None:
@@ -125,24 +129,10 @@ def build_minimized(
                 # period-1 loop: the node sits at every level >= its minimum
                 base = levels[nid][0]
                 for iota in range(1, p.m):
-                    if _violates_special(gammas[nid], iota):
+                    if node_violates(gammas[nid], iota, rule):
                         raise _TriviallyIrreversible(base + iota)
             for child in created[nid]:
                 work.append((child, lvl + 1))
-
-    full = p.table_size
-    state_masks = rule.state_masks
-
-    def counts(gamma: Gamma) -> list[int]:
-        return [sum((g & mask).bit_count() for g in gamma) for mask in state_masks]
-
-    def violates_intermediate(gamma: Gamma) -> bool:
-        c = counts(gamma)
-        return sum(c) != full or len(set(c)) != 1
-
-    def _violates_special(gamma: Gamma, iota: int) -> bool:
-        c = counts(restrict_special(gamma, iota, p))
-        return sum(c) != p.d**iota or len(set(c)) != 1
 
     frontier = [0]
     level = 0
@@ -168,11 +158,10 @@ def build_minimized(
                         children.append([-1] * p.d)
                         created.append([])
                         created[nid].append(cid)
-                        creation_level.append(level)
                         children[nid][x] = cid
                         new_frontier.append(cid)
                         height = level
-                        if stop_on_violation and violates_intermediate(child):
+                        if stop_on_violation and node_violates(child, 0, rule):
                             raise _TriviallyIrreversible(level + p.m)
                     else:
                         children[nid][x] = cid
@@ -181,16 +170,17 @@ def build_minimized(
     except _TriviallyIrreversible as stop:
         stopped_at = level
         stop_horizon = stop.horizon
-    return MinimizedTree(
-        rule, gammas, levels, children, creation_level, height, stopped_at, stop_horizon
-    )
+    return MinimizedTree(rule, gammas, levels, children, height, stopped_at, stop_horizon)
 
 
 def occurs_at_level(tree: MinimizedTree, node_id: int, p: int) -> bool:
-    """Does the node appear at level p (directly or through a loop)?"""
+    """Does the node appear at level p of the unrolled tree?
+
+    Exact (read from the level sequence), so the tree must be fully built.
+    """
     if p < 0:
         raise ValueError(f"level must be >= 0, got {p}")
-    return _implied(tree.levels[node_id], p)
+    return p in exact_occurrences(tree)[node_id]
 
 
 _SEQUENCE_CAP = 1 << 14
@@ -234,11 +224,10 @@ class Occurrences:
     anchors: tuple[int, ...]
     period: int
 
-    def levels_up_to(self, limit: int) -> list[int]:
-        out = set(s for s in self.sporadic if s <= limit)
-        for a in self.anchors:
-            out.update(range(a, limit + 1, self.period))
-        return sorted(out)
+    def __contains__(self, level: int) -> bool:
+        return level in self.sporadic or any(
+            level >= a and (level - a) % self.period == 0 for a in self.anchors
+        )
 
     @property
     def min_level(self) -> int:

@@ -61,15 +61,18 @@ def node_total(gamma: Gamma) -> int:
     return sum(g.bit_count() for g in gamma)
 
 
-def node_state_counts(gamma: Gamma, rule: Rule) -> list[int]:
-    masks = rule.state_masks
-    return [sum((g & mask).bit_count() for g in gamma) for mask in masks]
+def node_violates(gamma: Gamma, iota: int, rule: Rule) -> bool:
+    """Does the node break the completeness conditions at a placement?
 
-
-def node_balanced(gamma: Gamma, rule: Rule) -> bool:
-    """True when each next-state value is produced by equally many RMTs."""
-    counts = node_state_counts(gamma, rule)
-    return len(set(counts)) == 1
+    iota = 0 is an intermediate level (the node must hold d^m RMTs, balanced
+    over the next states); 1 <= iota <= m-1 is level n-iota, where the
+    level-restricted node must hold d^iota RMTs, balanced.
+    """
+    p = rule.params
+    if iota:
+        gamma = restrict_special(gamma, iota, p)
+    counts = [sum((g & mask).bit_count() for g in gamma) for mask in rule.state_masks]
+    return sum(counts) != p.d ** (iota or p.m) or len(set(counts)) != 1
 
 
 def child_node(parent: Gamma, state: int, rule: Rule) -> tuple[EdgeLabel, Gamma]:

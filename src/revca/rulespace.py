@@ -98,22 +98,6 @@ def equivalent_set(i: int, params: RuleParams) -> frozenset[int]:
     return frozenset(i + c * params.node_width for c in range(params.d))
 
 
-@dataclass(frozen=True)
-class RmtSetFamily:
-    """The two partitions of [0, d^m) into d^(m-1) sets of size d."""
-
-    equi: tuple[frozenset[int], ...]
-    sibl: tuple[frozenset[int], ...]
-
-
-def rmt_set_family(params: RuleParams) -> RmtSetFamily:
-    width = params.node_width
-    return RmtSetFamily(
-        equi=tuple(equivalent_set(i, params) for i in range(width)),
-        sibl=tuple(sibling_set(j, params) for j in range(width)),
-    )
-
-
 def uniform_rmts(params: RuleParams) -> list[int]:
     """The d RMTs whose tuple is constant: x * (d^m - 1) / (d - 1) for each state x."""
     step = (params.table_size - 1) // (params.d - 1)

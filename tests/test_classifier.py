@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from revca.classifier import (
     CAClass,
     IrreversibilityExpression,
+    SizeSet,
     classification_to_json,
     classify,
-    complement_is_finite,
     expressions_text,
     is_reversible_for,
-    normalize_expressions,
     reversible_sizes,
     scan_violations,
 )
@@ -50,42 +49,65 @@ class TestExpressionType:
         seg = IrreversibilityExpression.segment(3)
         assert seg.covers(3) and seg.covers(1000) and not seg.covers(2)
 
-    def test_subset(self):
-        assert expr(6, 4).subset_of(expr(2, 2))
-        assert not expr(2, 2).subset_of(expr(6, 4))
-        assert expr(5, 3).subset_of(IrreversibilityExpression.segment(4))
-
     def test_text(self):
         assert str(expr(4, 2)) == "n ≡ 0 (mod 2), n ≥ 4"
         assert str(IrreversibilityExpression.segment(3)) == "n ≥ 3"
 
 
+def canonical(exprs, sizes=()):
+    s = SizeSet.of(exprs, sizes)
+    return s.expressions, s.sporadic
+
+
 class TestNormalization:
     def test_subset_removal(self):
-        exprs, sizes = normalize_expressions([expr(2, 2), expr(4, 2), expr(6, 2)])
+        exprs, sizes = canonical([expr(2, 2), expr(4, 2), expr(6, 2)])
         assert exprs == (expr(2, 2),)
         assert sizes == ()
 
     def test_progression_merge(self):
-        got, _ = normalize_expressions([expr(3, 3), expr(4, 6), expr(6, 2)])
+        got, _ = canonical([expr(3, 3), expr(4, 6), expr(6, 2)])
         assert got == (expr(3, 3), expr(4, 2))
 
     def test_sporadic_absorption(self):
-        got, sizes = normalize_expressions(
-            [IrreversibilityExpression.segment(5)], [4]
-        )
+        got, sizes = canonical([IrreversibilityExpression.segment(5)], [4])
         assert got == (IrreversibilityExpression.segment(4),)
         assert sizes == ()
 
     def test_sporadic_extends_progression(self):
-        got, sizes = normalize_expressions([expr(8, 2)], [4, 6])
+        got, sizes = canonical([expr(8, 2)], [4, 6])
         assert got == (expr(4, 2),)
         assert sizes == ()
 
     def test_unabsorbed_sporadic_kept(self):
-        got, sizes = normalize_expressions([expr(9, 3)], [5])
+        got, sizes = canonical([expr(9, 3)], [5])
         assert got == (expr(9, 3),)
         assert sizes == (5,)
+
+    def test_residue_classes_merge(self):
+        # the three mod-6 classes of the even sizes are one mod-2 class
+        got, sizes = canonical([expr(2, 6), expr(4, 6), expr(6, 6)])
+        assert got == (expr(2, 2),)
+        assert sizes == ()
+
+    def test_large_lcm_period(self):
+        moduli = (2, 3, 5, 7)
+        s = SizeSet.of([expr(q, q) for q in moduli])
+        assert s.period == 210
+        assert s.expressions == tuple(sorted(expr(q, q) for q in moduli))
+        assert s.sporadic == ()
+        for n in range(1, 500):
+            assert (n in s) == any(n % q == 0 for q in moduli), n
+
+    def test_canonical_value(self):
+        s = SizeSet.of([expr(6, 6), expr(9, 3)], [4])
+        assert (s.start, s.period, s.residues, s.head) == (5, 3, frozenset({0}), (4,))
+        assert str(s) == "n ≡ 0 (mod 3), n ≥ 6; n = 4"
+        assert str(SizeSet.of()) == "∅"
+
+    @staticmethod
+    def naive(exprs, sizes, n):
+        return n in sizes or any(e.covers(n) for e in exprs)
 
     exprs_strategy = st.lists(
         st.tuples(st.integers(1, 6), st.integers(1, 5)).map(
@@ -97,36 +119,81 @@ class TestNormalization:
     @given(exprs_strategy, st.lists(st.integers(2, 12), max_size=4))
     @settings(max_examples=80, deadline=None)
     def test_idempotent_and_order_independent(self, exprs, sizes):
-        once = normalize_expressions(exprs, sizes)
-        again = normalize_expressions(*once)
+        once = canonical(exprs, sizes)
+        again = canonical(*once)
         assert once == again
-        reversed_input = normalize_expressions(list(reversed(exprs)), sizes)
+        reversed_input = canonical(list(reversed(exprs)), sizes)
         assert once == reversed_input
 
     @given(exprs_strategy, st.lists(st.integers(2, 12), max_size=4))
     @settings(max_examples=80, deadline=None)
     def test_preserves_denoted_set(self, exprs, sizes):
-        got_exprs, got_sizes = normalize_expressions(exprs, sizes)
+        got_exprs, got_sizes = canonical(exprs, sizes)
         for n in range(1, 60):
-            before = n in sizes or any(e.covers(n) for e in exprs)
             after = n in got_sizes or any(e.covers(n) for e in got_exprs)
-            assert before == after, n
+            assert self.naive(exprs, sizes, n) == after, n
+
+    @given(exprs_strategy, st.lists(st.integers(2, 12), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_membership_matches_naive_union(self, exprs, sizes):
+        s = SizeSet.of(exprs, sizes)
+        for n in range(1, s.start + 3 * s.period):
+            assert (n in s) == self.naive(exprs, sizes, n), n
+
+    @given(exprs_strategy, st.lists(st.integers(2, 12), max_size=4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equal_sets_give_identical_output(self, exprs, sizes, data):
+        # split each progression (a, q) into (a, 2q) and (a + q, 2q)
+        split = data.draw(st.lists(st.booleans(), min_size=len(exprs), max_size=len(exprs)))
+        other = []
+        for e, halve in zip(exprs, split):
+            if halve:
+                other.append(expr(e.min_n, 2 * e.modulus))
+                other.append(expr(e.min_n + e.modulus, 2 * e.modulus))
+            else:
+                other.append(e)
+        assert SizeSet.of(other, sizes) == SizeSet.of(exprs, sizes)
+        assert canonical(other, sizes) == canonical(exprs, sizes)
+
+    @given(exprs_strategy, st.lists(st.integers(2, 12), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_no_two_output_classes_merge(self, exprs, sizes):
+        got, _ = canonical(exprs, sizes)
+        for i, a in enumerate(got):
+            for b in got[i + 1 :]:
+                # a ∪ b is one residue class only when both have modulus 2q,
+                # residues that agree mod q, and start one step q apart
+                q = a.modulus // 2
+                merges = (
+                    a.modulus == b.modulus
+                    and a.modulus % 2 == 0
+                    and a.residue % q == b.residue % q
+                    and abs(a.min_n - b.min_n) == q
+                )
+                assert not merges, (a, b)
+                for outer, inner in ((a, b), (b, a)):
+                    subset = (
+                        inner.min_n >= outer.min_n
+                        and inner.modulus % outer.modulus == 0
+                        and inner.residue % outer.modulus == outer.residue
+                    )
+                    assert not subset, (outer, inner)
 
 
 class TestScan:
     def test_eca75(self):
         rule = eca(75)
         raw = scan_violations(build_minimized(rule), rule)
-        assert normalize_expressions(raw)[0] == (expr(2, 2),)
+        assert canonical(*raw)[0] == (expr(2, 2),)
 
     def test_reversible_rule_scans_clean(self):
         rule = parse_rule("1010101010101010", RuleParams(2, 4))
-        assert scan_violations(build_minimized(rule), rule) == []
+        assert scan_violations(build_minimized(rule), rule) == ([], [])
 
     def test_eca150(self):
         rule = eca(150)
         raw = scan_violations(build_minimized(rule), rule)
-        assert normalize_expressions(raw)[0] == (expr(3, 3),)
+        assert canonical(*raw)[0] == (expr(3, 3),)
 
 
 class TestClassify:
@@ -161,6 +228,25 @@ class TestClassify:
         assert not brute_force_reversible(eca(43), 4)
 
 
+class TestMinimalForms:
+    # linear rules whose raw progressions split one residue class into several
+    def check(self, c, text, expressions):
+        assert expressions_text(c) == text
+        payload = classification_to_json(c)
+        assert payload["expressions"] == expressions
+        assert payload["sporadic_irreversible"] == []
+
+    def test_ternary_linear_rule_even_sizes(self):
+        # x_{-1} + 2 x_0 + x_1 mod 3
+        c = classify(rule33("210021102102210021021102210"))
+        self.check(c, "n ≡ 0 (mod 2), n ≥ 2", [{"residue": 0, "modulus": 2, "min_n": 2}])
+
+    def test_five_neighbor_linear_rule_multiples_of_three(self):
+        # x_{-2} + x_0 + x_2 mod 2
+        c = classify(parse_rule("10100101101001010101101001011010", RuleParams(2, 5)))
+        self.check(c, "n ≡ 0 (mod 3), n ≥ 3", [{"residue": 0, "modulus": 3, "min_n": 3}])
+
+
 class TestMembership:
     def test_eca45_odd_sizes(self):
         c = classify(eca(45))
@@ -190,17 +276,19 @@ class TestMembership:
 
 class TestComplementFiniteness:
     def test_empty_expressions_infinite(self):
-        assert not complement_is_finite([], [], 3)
+        assert not SizeSet.of().cofinite
 
     def test_full_cover_finite(self):
-        assert complement_is_finite([IrreversibilityExpression.segment(5)], [], 3)
+        assert SizeSet.of([IrreversibilityExpression.segment(5)]).cofinite
 
     def test_partial_cover_infinite(self):
-        assert not complement_is_finite([expr(2, 2)], [], 3)
+        assert not SizeSet.of([expr(2, 2)]).cofinite
 
     def test_two_moduli_cover(self):
         # evens from 4 plus odds from 5 cover everything beyond 3
-        assert complement_is_finite([expr(4, 2), expr(5, 2)], [], 3)
+        s = SizeSet.of([expr(4, 2), expr(5, 2)])
+        assert s.cofinite
+        assert s.expressions == (IrreversibilityExpression.segment(4),)
 
 
 class TestClassProperties:

@@ -76,6 +76,34 @@ class TestClassify:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "rule,ca_class",
+        [("0", "StrictlyIrreversible"), ("1", "TriviallySemiReversible")],
+    )
+    def test_shortcut_past_oracle_memory_limit(self, capsys, rule, ca_class):
+        # d=2, m=9: the pair-graph walk would pass its byte limit, but a
+        # shortcut decides the class, so the cross-check is skipped
+        args = ("classify", "--states", "2", "--neighborhood", "9", "--rule", rule)
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["class"] == ca_class
+        assert payload["verified_up_to"] == 0
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert "verified up to: 0" in out.splitlines()
+
+    def test_balanced_rule_past_oracle_memory_limit(self, capsys):
+        # the shift rule is balanced, so only the oracle could verify it
+        code, out, err = run(
+            capsys,
+            "classify", "--states", "2", "--neighborhood", "9", "--rule", "10" * 256,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: pair-graph oracle") and "limit" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestCheckAndOracle:
     def test_check_reversible(self, capsys):

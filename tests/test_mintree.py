@@ -106,6 +106,32 @@ class TestOccurrence:
         with pytest.raises(ValueError):
             occurs_at_level(tree, 0, -1)
 
+    def test_level_set_misses_a_level(self):
+        # ECA 23's node 17 has the level set {4, 6}, yet sits at level 7
+        rule = eca(23)
+        tree = build_minimized(rule)
+        assert tree.levels[17] == [4, 6]
+        assert occurs_at_level(tree, 17, 7)
+        assert tree.gammas[17] in build_full_tree(rule, 10).level_nodes[7]
+
+    @pytest.mark.parametrize("value", [23, 27, 43, 57, 75, 105])
+    def test_every_intermediate_node_occurs(self, value):
+        # levels 0..n-m of a size-n tree carry no wrap-around restriction,
+        # so one n covers the intermediate levels of every smaller size
+        rule = eca(value)
+        tree = build_minimized(rule)
+        index = {g: i for i, g in enumerate(tree.gammas)}
+        n = 12
+        full = build_full_tree(rule, n)
+        for level in range(n - rule.params.m + 1):
+            for gamma in full.level_nodes[level]:
+                assert occurs_at_level(tree, index[gamma], level), (value, level)
+
+    def test_truncated_tree_rejected(self):
+        tree = build_minimized(eca(43), stop_on_violation=True)
+        with pytest.raises(ValueError, match="fully built"):
+            occurs_at_level(tree, 0, 0)
+
     def test_loops(self):
         tree = build_minimized(eca(75))
         by_levels = {tuple(tree.levels[i]): i for i in range(tree.unique_nodes)}
@@ -175,7 +201,7 @@ class TestReconstruction:
                 for level in range(0, n - rule.params.m + 1):
                     predicted = set()
                     for nid, occ in enumerate(occurrences):
-                        if level in occ.levels_up_to(level):
+                        if level in occ:
                             predicted.add(tree.gammas[nid])
                     for gamma in full.level_nodes[level]:
                         assert gamma in index, (rule, n, level)

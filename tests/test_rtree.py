@@ -10,8 +10,8 @@ from revca.rtree import (
     edge_counts_ok,
     format_node,
     gamma_rmts,
-    node_balanced,
     node_total,
+    node_violates,
     restrict_special,
     reversible_for_n_by_tree,
     root_node,
@@ -78,7 +78,7 @@ class TestNodeBasics:
             as_gamma(rule.params, (2, 3), (6, 7), (2, 3), (6, 7))
         )
         assert node_total(child) == 8
-        assert node_balanced(child, rule)
+        assert not node_violates(child, 0, rule)
 
 
 class TestRestriction:
@@ -207,9 +207,10 @@ class TestTheorems:
             tree = build_full_tree(rule, n)
             if not tree.complete:
                 continue
-            for nodes in tree.level_nodes[:-1]:
+            for level, nodes in enumerate(tree.level_nodes[:-1]):
+                iota = n - level if n - level < rule.params.m else 0
                 for gamma in nodes:
-                    assert node_balanced(gamma, rule), (rule, n)
+                    assert not node_violates(gamma, iota, rule), (rule, n, level)
 
     def test_unbalanced_non_strict_ecas_never_reversible_at_m_or_beyond(self):
         from revca.rulespace import is_balanced_rule, is_strictly_irreversible

@@ -16,7 +16,6 @@ from revca.rulespace import (
     parse_rule,
     reflected,
     rmt_of_tuple,
-    rmt_set_family,
     rule_from_decimal,
     sibling_set,
     tuple_of_rmt,
@@ -153,9 +152,12 @@ class TestFamilies:
     @given(SMALL_PARAMS)
     @settings(max_examples=20, deadline=None)
     def test_both_families_partition(self, params):
-        fam = rmt_set_family(params)
+        width = range(params.node_width)
         everything = set(range(params.table_size))
-        for family in (fam.equi, fam.sibl):
+        for family in (
+            [equivalent_set(i, params) for i in width],
+            [sibling_set(j, params) for j in width],
+        ):
             assert len(family) == params.node_width
             assert all(len(s) == params.d for s in family)
             union = set().union(*family)
