@@ -196,23 +196,24 @@ def scan_violations(
     out n = level + iota for every occurrence level, i.e. one progression
     per anchor plus single sizes for sporadic occurrences (sizes below m are
     owned by the brute-forced small-size table and dropped).
+
+    Many nodes rule out the same sizes, so both lists are sorted and free of
+    duplicates.
     """
     p = rule.params
-    progressions: list[IrreversibilityExpression] = []
-    sizes: list[int] = []
+    progressions: set[tuple[int, int]] = set()  # (min_n, modulus)
+    sizes: set[int] = set()
     for gamma, occ in zip(tree.gammas, exact_occurrences(tree)):
         if node_violates(gamma, 0, rule):
-            progressions.append(IrreversibilityExpression.segment(occ.min_level + p.m))
+            progressions.add((occ.min_level + p.m, 1))
         for iota in range(1, p.m):
             if node_violates(gamma, iota, rule):
-                progressions.extend(
-                    IrreversibilityExpression.progression(anchor + iota, occ.period)
-                    for anchor in occ.anchors
-                )
-                sizes.extend(
-                    level + iota for level in occ.sporadic if level + iota >= p.m
-                )
-    return progressions, sizes
+                progressions.update((anchor + iota, occ.period) for anchor in occ.anchors)
+                sizes.update(level + iota for level in occ.sporadic if level + iota >= p.m)
+    return (
+        [IrreversibilityExpression.progression(n, q) for n, q in sorted(progressions)],
+        sorted(sizes),
+    )
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .rtree import Gamma, child_node, gamma_rmts, node_violates, root_node
+from .rtree import Gamma, child_node, gamma_rmts, node_sets, node_violates, root_node
 from .rulespace import Rule
 
 DEFAULT_NODE_LIMIT = 1_000_000
@@ -177,6 +177,9 @@ def occurs_at_level(tree: MinimizedTree, node_id: int, p: int) -> bool:
     """Does the node appear at level p of the unrolled tree?
 
     Exact (read from the level sequence), so the tree must be fully built.
+    Each call rebuilds the level sequence and every node's occurrences, which
+    costs O(transient + period) level sets of up to M nodes; to query many
+    nodes, call `exact_occurrences` once and test `p in occurrences[node_id]`.
     """
     if p < 0:
         raise ValueError(f"level must be >= 0, got {p}")
@@ -294,10 +297,10 @@ def tree_to_json(tree: MinimizedTree) -> dict:
             {
                 "id": nid,
                 "levels": list(tree.levels[nid]),
-                "gamma": [gamma_rmts(g) for g in tree.gammas[nid]],
+                "gamma": [gamma_rmts(g) for g in node_sets(gamma, tree.rule.params)],
                 "children": list(tree.children[nid]),
             }
-            for nid in range(tree.unique_nodes)
+            for nid, gamma in enumerate(tree.gammas)
         ],
     }
 

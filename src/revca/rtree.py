@@ -1,14 +1,24 @@
 """Reachability tree for a fixed lattice size.
 
 A tree node is an ordered list of d^(m-1) RMT sets (one per sibling-set
-index), stored as integer bitmasks over the d^m RMTs.  Each level-L node has
+index), packed into one Python int: set k is the d^m-bit slot at bits
+[k d^m, (k+1) d^m), RMT r of set k at bit k d^m + r.  Each level-L node has
 d outgoing edges, one per output state x; the edge keeps the parent RMTs that
 produce x, and the child collects the sibling successors of the edge RMTs.
 Levels n-1 down to n-m+1 additionally restrict children to the RMTs that are
 consistent with the periodic wrap-around.
 
+Every node operation is a handful of big-int operations on the whole node,
+with masks repeated in every slot: the edge is one AND with the rule's state
+mask, the child folds each slot's d blocks of d^(m-1) bits onto the low one,
+spreads bit j to bit d*j in ceil(log2 d^(m-1)) masked shifts and fills each
+sibling block with one multiplication, and the restriction is one AND.  The
+per-shape masks are built once per (d, m) (`_shape`), the per-rule ones once
+per Rule (`Rule.node_state_masks`).
+
 RMT totals and balance are counted with multiplicity across the d^(m-1) sets
-(the same RMT may appear in several of them).
+(the same RMT may appear in several of them), so a node's total is its
+popcount.
 """
 
 from __future__ import annotations
@@ -17,9 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .rulespace import Rule, RuleParams
+from .rulespace import Rule, RuleParams, repeat_bits
 
-Gamma = tuple[int, ...]  # one RMT bitmask per sibling-set index
+Gamma = int  # packed node: d^(m-1) slots of d^m bits, one RMT set per slot
 
 DEFAULT_TREE_LIMIT = 1_000_000
 
@@ -29,36 +39,65 @@ class EdgeLabel(NamedTuple):
     state: int
 
 
+class _Shape(NamedTuple):
+    """Per-shape constants of the packed format; masks repeat in every slot."""
+
+    root: int  # slot k holds the sibling block of k
+    fold: tuple[int, ...]  # shifts c*d^(m-1), 0 < c < d, onto the low block
+    low: int  # the low d^(m-1) bits of every slot
+    spread: tuple[tuple[int, int], ...]  # (mask, shift) steps moving bit j to d*j
+    block: int  # 2^d - 1: bit d*j times this is the sibling block of j
+    valid: tuple[int, ...]  # valid[iota]: RMTs allowed at level n-iota
+
+
 @lru_cache(maxsize=None)
-def _sibl_masks(params: RuleParams) -> tuple[int, ...]:
-    d = params.d
+def _shape(d: int, m: int) -> _Shape:
+    """Keyed on (d, m), not RuleParams, whose hash and equality run Python
+    code on every call; the kernels look the shape up on every call."""
+    width, size = d ** (m - 1), d**m
     block = (1 << d) - 1
-    return tuple(block << (d * j) for j in range(params.node_width))
-
-
-@lru_cache(maxsize=None)
-def _valid_masks(params: RuleParams, iota: int) -> tuple[int, ...]:
-    """Per sibling-set index k, the RMTs valid at level n-iota:
-    {i, i + d^(m-iota), ..., i + (d^iota - 1) d^(m-iota)} with i = k div d^(iota-1)."""
-    d, m = params.d, params.m
-    masks = []
-    for k in range(params.node_width):
-        anchor = k // d ** (iota - 1)
+    # slot k of the root is the block << d*k, at bit k*(d^m + d)
+    root = repeat_bits(block, size + d, width)
+    low = repeat_bits((1 << width) - 1, size, width)
+    # dilation from the top bit down: before the step for bit i, bit j sits at
+    # (j mod 2^(i+1)) + d*2^(i+1)*(j >> (i+1)); the step moves the j with bit
+    # i set by (d-1)*2^i
+    spread = []
+    for i in reversed(range((width - 1).bit_length())):
         mask = 0
-        for j in range(d**iota):
-            mask |= 1 << (anchor + j * d ** (m - iota))
-        masks.append(mask)
-    return tuple(masks)
+        for j in range(width):
+            if j >> i & 1:
+                mask |= 1 << ((j & ((2 << i) - 1)) + d * (2 << i) * (j >> (i + 1)))
+        spread.append((repeat_bits(mask, size, width), (d - 1) << i))
+    # level n-iota allows, in slot k, {a + j d^(m-iota) : j < d^iota} with
+    # a = k div d^(iota-1); a group of d^(iota-1) slots shares an anchor, so
+    # the groups repeat with stride d^(iota-1)*d^m + 1
+    valid = [0]
+    for iota in range(1, m):
+        group = d ** (iota - 1)
+        rmts = repeat_bits(1, d ** (m - iota), d**iota)
+        valid.append(
+            repeat_bits(repeat_bits(rmts, size, group), group * size + 1, width // group)
+        )
+    fold = tuple(c * width for c in range(1, d))
+    return _Shape(root, fold, low, tuple(spread), block, tuple(valid))
 
 
 def root_node(params: RuleParams) -> Gamma:
     """Root: the k-th set is the k-th sibling set."""
-    return _sibl_masks(params)
+    return _shape(params.d, params.m).root
+
+
+def node_sets(gamma: Gamma, params: RuleParams) -> list[int]:
+    """The node's d^(m-1) RMT sets, as one d^m-bit mask each."""
+    size = params.table_size
+    full = (1 << size) - 1
+    return [(gamma >> (k * size)) & full for k in range(params.node_width)]
 
 
 def node_total(gamma: Gamma) -> int:
     """Number of RMTs in the node, counted with multiplicity across sets."""
-    return sum(g.bit_count() for g in gamma)
+    return gamma.bit_count()
 
 
 def node_violates(gamma: Gamma, iota: int, rule: Rule) -> bool:
@@ -66,13 +105,17 @@ def node_violates(gamma: Gamma, iota: int, rule: Rule) -> bool:
 
     iota = 0 is an intermediate level (the node must hold d^m RMTs, balanced
     over the next states); 1 <= iota <= m-1 is level n-iota, where the
-    level-restricted node must hold d^iota RMTs, balanced.
+    level-restricted node must hold d^iota RMTs, balanced.  Both amount to
+    d^(m-1), resp. d^(iota-1), RMTs per next state.
     """
     p = rule.params
     if iota:
         gamma = restrict_special(gamma, iota, p)
-    counts = [sum((g & mask).bit_count() for g in gamma) for mask in rule.state_masks]
-    return sum(counts) != p.d ** (iota or p.m) or len(set(counts)) != 1
+    per_state = p.d ** ((iota or p.m) - 1)
+    for mask in rule.node_state_masks:
+        if (gamma & mask).bit_count() != per_state:
+            return True
+    return False
 
 
 def child_node(parent: Gamma, state: int, rule: Rule) -> tuple[EdgeLabel, Gamma]:
@@ -84,31 +127,23 @@ def child_node(parent: Gamma, state: int, rule: Rule) -> tuple[EdgeLabel, Gamma]
     p = rule.params
     if not 0 <= state < p.d:
         raise ValueError(f"state {state} out of range [0, {p.d})")
-    mask = rule.state_masks[state]
-    width = p.node_width
-    width_mask = (1 << width) - 1
-    sibl = _sibl_masks(p)
-    edge = tuple(g & mask for g in parent)
-    child = []
-    for g in edge:
-        folded = 0
-        for c in range(p.d):
-            folded |= (g >> (c * width)) & width_mask
-        out = 0
-        while folded:
-            low = folded & -folded
-            out |= sibl[low.bit_length() - 1]
-            folded ^= low
-        child.append(out)
-    return EdgeLabel(edge, state), tuple(child)
+    shape = _shape(p.d, p.m)
+    edge = parent & rule.node_state_masks[state]
+    folded = edge
+    for shift in shape.fold:
+        folded |= edge >> shift
+    folded &= shape.low
+    for mask, shift in shape.spread:
+        moved = folded & mask
+        folded ^= moved ^ (moved << shift)
+    return EdgeLabel(edge, state), folded * shape.block
 
 
 def restrict_special(gamma: Gamma, iota: int, params: RuleParams) -> Gamma:
     """Keep only the RMTs valid at level n-iota (1 <= iota <= m-1)."""
     if not 1 <= iota <= params.m - 1:
         raise ValueError(f"iota {iota} out of range [1, {params.m - 1}]")
-    valid = _valid_masks(params, iota)
-    return tuple(g & v for g, v in zip(gamma, valid))
+    return gamma & _shape(params.d, params.m).valid[iota]
 
 
 def gamma_rmts(g: int) -> list[int]:
@@ -124,7 +159,7 @@ def gamma_rmts(g: int) -> list[int]:
 def format_node(gamma: Gamma, params: RuleParams) -> str:
     """Node in the textual form ({0, 1}, {4, 5}, ∅, ...)."""
     parts = []
-    for g in gamma:
+    for g in node_sets(gamma, params):
         rmts = gamma_rmts(g)
         parts.append("{" + ", ".join(map(str, rmts)) + "}" if rmts else "∅")
     return "(" + ", ".join(parts) + ")"
@@ -168,8 +203,9 @@ def build_full_tree(rule: Rule, n: int, limit: int = DEFAULT_TREE_LIMIT) -> Full
         for gamma, count in current.items():
             for x in range(p.d):
                 edge, child = child_node(gamma, x, rule)
-                sizes.add(node_total(edge.gamma))
-                if node_total(edge.gamma) == 0:
+                total = node_total(edge.gamma)
+                sizes.add(total)
+                if total == 0:
                     complete = False
                     continue
                 if 1 <= iota <= p.m - 1:

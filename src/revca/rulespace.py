@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-DEFAULT_TABLE_LIMIT = 4096  # cap on d^m; node bitsets are d^m bits wide
+DEFAULT_TABLE_LIMIT = 4096  # cap on d^m; a packed tree node has d^(m-1) slots of d^m bits
 
 
 class RuleFormatError(ValueError):
@@ -98,6 +98,16 @@ def equivalent_set(i: int, params: RuleParams) -> frozenset[int]:
     return frozenset(i + c * params.node_width for c in range(params.d))
 
 
+def repeat_bits(pattern: int, width: int, count: int) -> int:
+    """`count` copies of `pattern` side by side, copy k at bit k*width
+    (pattern < 2^width); built by doubling, in O(log count) big-int steps."""
+    out, copies = pattern, 1
+    while copies < count:
+        out |= out << (copies * width)
+        copies *= 2
+    return out & ((1 << (count * width)) - 1)
+
+
 def uniform_rmts(params: RuleParams) -> list[int]:
     """The d RMTs whose tuple is constant: x * (d^m - 1) / (d - 1) for each state x."""
     step = (params.table_size - 1) // (params.d - 1)
@@ -121,12 +131,14 @@ class Rule:
                 raise ValueError(f"table[{r}] = {v} is not a state in [0, {self.params.d})")
 
     @cached_property
-    def state_masks(self) -> tuple[int, ...]:
-        """Per state x, the bitset of RMTs r with table[r] = x."""
-        masks = [0] * self.params.d
+    def node_state_masks(self) -> tuple[int, ...]:
+        """Per state x, the bitset of RMTs r with table[r] = x, repeated in
+        each of the d^(m-1) d^m-bit slots of a packed tree node (see rtree)."""
+        p = self.params
+        masks = [0] * p.d
         for r, v in enumerate(self.table):
             masks[v] |= 1 << r
-        return tuple(masks)
+        return tuple(repeat_bits(mask, p.table_size, p.node_width) for mask in masks)
 
     def digit_string(self) -> str:
         """The rule as the digit string R[d^m-1] ... R[1] R[0]."""

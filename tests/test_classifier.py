@@ -17,7 +17,8 @@ from revca.classifier import (
 )
 from revca.debruijn import reversible_by_pair_graph
 from revca.dynamics import brute_force_reversible
-from revca.mintree import build_minimized
+from revca.mintree import build_minimized, exact_occurrences
+from revca.rtree import node_violates
 from revca.rulespace import (
     Rule,
     RuleParams,
@@ -194,6 +195,33 @@ class TestScan:
         rule = eca(150)
         raw = scan_violations(build_minimized(rule), rule)
         assert canonical(*raw)[0] == (expr(3, 3),)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [eca(23), eca(75), rule33("012210210102012102210210012")],
+        ids=["eca23", "eca75", "height19"],
+    )
+    def test_raw_output_has_no_duplicates(self, rule):
+        tree = build_minimized(rule)
+        progressions, sizes = scan_violations(tree, rule)
+        assert len(set(progressions)) == len(progressions)
+        assert len(set(sizes)) == len(sizes)
+        assert SizeSet.of(progressions, sizes) == SizeSet.of(*undeduplicated_scan(tree, rule))
+
+
+def undeduplicated_scan(tree, rule):
+    """One raw progression per node, iota and anchor, one size per sporadic
+    occurrence: the scan's output before duplicates were dropped."""
+    p = rule.params
+    progressions, sizes = [], []
+    for gamma, occ in zip(tree.gammas, exact_occurrences(tree)):
+        if node_violates(gamma, 0, rule):
+            progressions.append(IrreversibilityExpression.segment(occ.min_level + p.m))
+        for iota in range(1, p.m):
+            if node_violates(gamma, iota, rule):
+                progressions.extend(expr(a + iota, occ.period) for a in occ.anchors)
+                sizes.extend(lv + iota for lv in occ.sporadic if lv + iota >= p.m)
+    return progressions, sizes
 
 
 class TestClassify:

@@ -20,14 +20,13 @@ from revca.rtree import build_full_tree, gamma_rmts, reversible_for_n_by_tree
 from conftest import eca
 
 
-def as_gamma(*sets):
-    out = []
-    for s in sets:
-        mask = 0
+def as_gamma(*sets, params=RuleParams(2, 3)):
+    """Pack RMT sets into a node: set k in the k-th d^m-bit slot."""
+    node = 0
+    for k, s in enumerate(sets):
         for r in s:
-            mask |= 1 << r
-        out.append(mask)
-    return tuple(out)
+            node |= 1 << (k * params.table_size + r)
+    return node
 
 
 # the full unique-node table for rule 75 (d=2, m=3): gamma -> level set
@@ -121,11 +120,12 @@ class TestOccurrence:
         rule = eca(value)
         tree = build_minimized(rule)
         index = {g: i for i, g in enumerate(tree.gammas)}
+        occurrences = exact_occurrences(tree)
         n = 12
         full = build_full_tree(rule, n)
         for level in range(n - rule.params.m + 1):
             for gamma in full.level_nodes[level]:
-                assert occurs_at_level(tree, index[gamma], level), (value, level)
+                assert level in occurrences[index[gamma]], (value, level)
 
     def test_truncated_tree_rejected(self):
         tree = build_minimized(eca(43), stop_on_violation=True)

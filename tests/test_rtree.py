@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revca.dynamics import brute_force_reversible, reachable_codes
 from revca.rulespace import Rule, RuleParams, parse_rule, rule_from_decimal, sibling_set
@@ -10,6 +12,7 @@ from revca.rtree import (
     edge_counts_ok,
     format_node,
     gamma_rmts,
+    node_sets,
     node_total,
     node_violates,
     restrict_special,
@@ -21,47 +24,48 @@ from conftest import eca
 
 
 def as_gamma(params, *sets):
-    out = []
-    for s in sets:
-        mask = 0
+    """Pack RMT sets into a node: set k in the k-th d^m-bit slot."""
+    node = 0
+    for k, s in enumerate(sets):
         for r in s:
-            mask |= 1 << r
-        out.append(mask)
-    return tuple(out)
+            node |= 1 << (k * params.table_size + r)
+    return node
 
 
-def gamma_sets(gamma):
-    return tuple(frozenset(gamma_rmts(g)) for g in gamma)
+def gamma_sets(gamma, params):
+    return tuple(frozenset(gamma_rmts(g)) for g in node_sets(gamma, params))
 
 
 class TestNodeBasics:
     def test_root_is_sibling_family(self):
         p = RuleParams(2, 3)
         root = root_node(p)
-        assert gamma_sets(root) == tuple(
+        assert gamma_sets(root, p) == tuple(
             frozenset(sibling_set(k, p)) for k in range(4)
         )
 
     def test_eca75_children_of_root(self):
         rule = eca(75)
-        root = root_node(rule.params)
+        p = rule.params
+        root = root_node(p)
         edge0, child0 = child_node(root, 0, rule)
-        assert gamma_sets(child0) == gamma_sets(
-            as_gamma(rule.params, (), (4, 5), (0, 1, 2, 3), (6, 7))
+        assert gamma_sets(child0, p) == gamma_sets(
+            as_gamma(p, (), (4, 5), (0, 1, 2, 3), (6, 7)), p
         )
         edge1, child1 = child_node(root, 1, rule)
-        assert gamma_sets(child1) == gamma_sets(
-            as_gamma(rule.params, (0, 1, 2, 3), (6, 7), (), (4, 5))
+        assert gamma_sets(child1, p) == gamma_sets(
+            as_gamma(p, (0, 1, 2, 3), (6, 7), (), (4, 5)), p
         )
         assert edge0.state == 0 and edge1.state == 1
         # edges partition the parent by output state
+        sets0, sets1, root_sets = (node_sets(g, p) for g in (edge0.gamma, edge1.gamma, root))
         for k in range(4):
-            assert (edge0.gamma[k] | edge1.gamma[k]) == root[k]
-            assert (edge0.gamma[k] & edge1.gamma[k]) == 0
+            assert (sets0[k] | sets1[k]) == root_sets[k]
+            assert (sets0[k] & sets1[k]) == 0
 
     def test_empty_parent_gives_empty_child(self):
         rule = eca(75)
-        empty = (0, 0, 0, 0)
+        empty = as_gamma(rule.params, (), (), (), ())
         edge, child = child_node(empty, 1, rule)
         assert node_total(edge.gamma) == 0
         assert node_total(child) == 0
@@ -74,8 +78,8 @@ class TestNodeBasics:
         # rule 85 builds nodes whose sets repeat RMTs; totals still reach d^m
         rule = eca(85)
         _, child = child_node(root_node(rule.params), 0, rule)
-        assert gamma_sets(child) == gamma_sets(
-            as_gamma(rule.params, (2, 3), (6, 7), (2, 3), (6, 7))
+        assert gamma_sets(child, rule.params) == gamma_sets(
+            as_gamma(rule.params, (2, 3), (6, 7), (2, 3), (6, 7)), rule.params
         )
         assert node_total(child) == 8
         assert not node_violates(child, 0, rule)
@@ -84,14 +88,15 @@ class TestNodeBasics:
 class TestRestriction:
     def test_full_node_keeps_d_pow_iota(self):
         p = RuleParams(2, 3)
-        full = tuple((1 << p.table_size) - 1 for _ in range(p.node_width))
+        full = as_gamma(p, *[range(p.table_size)] * p.node_width)
         for iota in (1, 2):
             restricted = restrict_special(full, iota, p)
-            assert all(g.bit_count() == p.d**iota for g in restricted)
+            assert all(g.bit_count() == p.d**iota for g in node_sets(restricted, p))
 
     def test_empty_stays_empty(self):
         p = RuleParams(2, 3)
-        assert restrict_special((0,) * 4, 1, p) == (0,) * 4
+        empty = as_gamma(p, (), (), (), ())
+        assert restrict_special(empty, 1, p) == empty
 
     def test_eca75_level_violation(self):
         rule = eca(75)
@@ -107,6 +112,106 @@ class TestRestriction:
         p = RuleParams(2, 3)
         node = as_gamma(p, (0, 1), (), (4, 5), (6, 7))
         assert format_node(node, p) == "({0, 1}, ∅, {4, 5}, {6, 7})"
+
+
+# Per-set reference for the packed kernels: the node as a tuple of d^(m-1)
+# RMT bitmasks, one loop iteration per set.
+
+
+def ref_state_masks(rule):
+    masks = [0] * rule.params.d
+    for r, v in enumerate(rule.table):
+        masks[v] |= 1 << r
+    return masks
+
+
+def ref_child(parent, state, rule):
+    p = rule.params
+    width_mask = (1 << p.node_width) - 1
+    sibl = [((1 << p.d) - 1) << (p.d * j) for j in range(p.node_width)]
+    edge = tuple(g & ref_state_masks(rule)[state] for g in parent)
+    child = []
+    for g in edge:
+        folded = 0
+        for c in range(p.d):
+            folded |= (g >> (c * p.node_width)) & width_mask
+        out = 0
+        for j in range(p.node_width):
+            if folded >> j & 1:
+                out |= sibl[j]
+        child.append(out)
+    return edge, tuple(child)
+
+
+def ref_restrict(gamma, iota, p):
+    out = []
+    for k, g in enumerate(gamma):
+        anchor = k // p.d ** (iota - 1)
+        mask = 0
+        for j in range(p.d**iota):
+            mask |= 1 << (anchor + j * p.d ** (p.m - iota))
+        out.append(g & mask)
+    return tuple(out)
+
+
+def ref_total(gamma):
+    return sum(g.bit_count() for g in gamma)
+
+
+def ref_violates(gamma, iota, rule):
+    p = rule.params
+    if iota:
+        gamma = ref_restrict(gamma, iota, p)
+    counts = [sum((g & mask).bit_count() for g in gamma) for mask in ref_state_masks(rule)]
+    return sum(counts) != p.d ** (iota or p.m) or len(set(counts)) != 1
+
+
+KERNEL_SHAPES = [(2, 3), (2, 4), (3, 3), (2, 5), (3, 4), (5, 3)]
+
+
+class TestPackedKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_per_set_reference(self, data):
+        # random child walks from the root, optionally restricted on the way
+        # as the last m-1 levels of a full tree are
+        d, m = data.draw(st.sampled_from(KERNEL_SHAPES))
+        p = RuleParams(d, m)
+        size = p.table_size
+        table = data.draw(st.lists(st.integers(0, d - 1), min_size=size, max_size=size))
+        rule = Rule(p, tuple(table))
+        walk = data.draw(
+            st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, m - 1)), max_size=10)
+        )
+        node = root_node(p)
+        ref = tuple(((1 << d) - 1) << (d * k) for k in range(p.node_width))
+        for state, iota in walk:
+            assert tuple(node_sets(node, p)) == ref
+            assert node_total(node) == ref_total(ref)
+            assert node_violates(node, 0, rule) == ref_violates(ref, 0, rule)
+            for j in range(1, m):
+                assert tuple(node_sets(restrict_special(node, j, p), p)) == ref_restrict(ref, j, p)
+                assert node_violates(node, j, rule) == ref_violates(ref, j, rule)
+            edge, node = child_node(node, state, rule)
+            ref_edge, ref = ref_child(ref, state, rule)
+            assert edge.state == state
+            assert tuple(node_sets(edge.gamma, p)) == ref_edge
+            assert node_total(edge.gamma) == ref_total(ref_edge)
+            if iota:
+                node = restrict_special(node, iota, p)
+                ref = ref_restrict(ref, iota, p)
+        assert tuple(node_sets(node, p)) == ref
+
+    @pytest.mark.parametrize("d,m", [(2, 12), (4, 6), (16, 3)])
+    def test_largest_shapes(self, d, m):
+        # d^m = 4096, the table limit: the root's children still hold one
+        # sibling block per edge RMT
+        p = RuleParams(d, m)
+        rule = Rule(p, tuple(r % d for r in range(p.table_size)))
+        edge, child = child_node(root_node(p), 1, rule)
+        assert node_total(edge.gamma) == p.node_width
+        assert node_total(child) == p.table_size
+        assert not node_violates(child, 0, rule)
 
 
 class TestFullTree:
