@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from .debruijn import pair_graph_fits, reversible_by_pair_graph
 from .dynamics import brute_force_reversible
-from .mintree import MinimizedTree, build_minimized, exact_occurrences
+from .mintree import MinimizedTree, Occurrences, build_minimized, exact_occurrences
 from .rulespace import Rule, is_balanced_rule, is_strictly_irreversible, wolfram_decimal
 from .rtree import node_violates, reversible_for_n_by_tree
 
@@ -197,17 +197,26 @@ def scan_violations(
     per anchor plus single sizes for sporadic occurrences (sizes below m are
     owned by the brute-forced small-size table and dropped).
 
-    Many nodes rule out the same sizes, so both lists are sorted and free of
-    duplicates.
+    Nodes at the same levels share one Occurrences, and each distinct
+    (occurrences, failed placements) pair is emitted once, so both lists are
+    sorted and free of duplicates.
     """
     p = rule.params
+    failing: dict[tuple[int, int], Occurrences] = {}  # (id(occ), iota bits) -> occ
+    for gamma, occ in zip(tree.gammas, exact_occurrences(tree)):
+        failed = 0
+        for iota in range(p.m):
+            if node_violates(gamma, iota, rule):
+                failed |= 1 << iota
+        if failed:
+            failing[id(occ), failed] = occ
     progressions: set[tuple[int, int]] = set()  # (min_n, modulus)
     sizes: set[int] = set()
-    for gamma, occ in zip(tree.gammas, exact_occurrences(tree)):
-        if node_violates(gamma, 0, rule):
+    for (_, failed), occ in failing.items():
+        if failed & 1:
             progressions.add((occ.min_level + p.m, 1))
         for iota in range(1, p.m):
-            if node_violates(gamma, iota, rule):
+            if failed >> iota & 1:
                 progressions.update((anchor + iota, occ.period) for anchor in occ.anchors)
                 sizes.update(level + iota for level in occ.sporadic if level + iota >= p.m)
     return (

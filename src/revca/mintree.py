@@ -1,28 +1,22 @@
-"""Minimized reachability tree: hash-consed unique nodes with level sets.
+"""Minimized reachability tree: hash-consed unique nodes and their exact levels.
 
 Construction is level-synchronous.  Every unique node is expanded exactly
-once; a child equal to an existing node only adds a link and (when not
-already implied) the discovery level.
+once; a child equal to an existing node only adds a link.
 
-The level sets are construction-time bookkeeping: they drive the period-1
-loop early stop and label the exports, but they are not the exact set of
-levels a node occupies in the unrolled tree: a node whose level set is
-{i, i'} can also sit at levels off the progression i + k(i'-i).  The exact
-occurrences come from the level sequence: the child map drives a walk through
-node sets that is eventually periodic, and `exact_occurrences` and
-`occurs_at_level` read it.
+Where a node sits in the unrolled tree is read from the level sequence: the
+child map drives a walk through node sets that is eventually periodic, so a
+node's levels are finitely many sporadic levels plus arithmetic progressions.
+`exact_occurrences` computes them once per distinct pattern of positions in
+the sequence, and `MinimizedTree.occurrences` keeps them for the exports,
+`loops_of` and `occurs_at_level`.
 
-Level bookkeeping refines the plain discovery levels in three ways, all
-needed for nested loops to settle into a fixpoint:
-
-* a new node inherits {l+1 : l in parent's levels}, not just the current level;
-* when an existing node gains a level, the increment is pushed through the
-  subtree of nodes it created (worklist over creation links, which form a
-  tree, so propagation always terminates), skipping nodes where the level is
-  already implied;
-* explicit levels implied by the remaining set are pruned (an implied level's
-  period is a multiple of an existing one, so pruning never changes the
-  implied set).
+With `stop_on_violation` the build applies the paper's loop rule for period
+1: a node reached again at the level after the one it was created at has a
+loop of period 1, taken to stand at every level from its creation level on,
+and so does every node it created, one level further down.  One flag per
+node records this; a new node inherits its creator's flag.  The rule only
+drives the early stop: the exact levels can be fewer (ECA 23's node 21 is
+reached at levels 4 and 5 but does not sit at level 6).
 """
 
 from __future__ import annotations
@@ -30,45 +24,18 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .rtree import Gamma, child_node, gamma_rmts, node_sets, node_violates, root_node
 from .rulespace import Rule
 
 DEFAULT_NODE_LIMIT = 1_000_000
-_LEVEL_SET_CAP = 64  # explicit levels per node; exceeded only by pathological loop nests
-
-
-def _implied(levels: list[int], p: int) -> bool:
-    """Membership under the loop rule: p is explicit, or lies on a progression
-    anchored at the minimum level with the period of some other explicit level."""
-    if p in levels:
-        return True
-    base = levels[0]
-    if p < base:
-        return False
-    return any((p - base) % (other - base) == 0 for other in levels[1:])
-
-
-def _pruned(levels: list[int]) -> list[int]:
-    """Drop explicit levels already implied by the rest (largest first)."""
-    out = sorted(levels)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(out) - 1, 0, -1):
-            rest = out[:idx] + out[idx + 1 :]
-            if _implied(rest, out[idx]):
-                out.pop(idx)
-                changed = True
-                break
-    return out
 
 
 @dataclass
 class MinimizedTree:
     rule: Rule
     gammas: list[Gamma]
-    levels: list[list[int]]  # sorted, pruned explicit level sets
     children: list[list[int]]  # d child ids per node
     height: int  # level at which the last unique node was added
     stopped_at: int | None = None  # construction level of the first violation
@@ -77,6 +44,11 @@ class MinimizedTree:
     @property
     def unique_nodes(self) -> int:
         return len(self.gammas)
+
+    @cached_property
+    def occurrences(self) -> list[Occurrences]:
+        """`exact_occurrences` of this tree, computed on first use."""
+        return exact_occurrences(self)
 
 
 class _TriviallyIrreversible(Exception):
@@ -97,9 +69,9 @@ def build_minimized(
 
     * a created node breaks the intermediate-level completeness conditions
       (d^m RMTs, balanced) at level L -> irreversible for every n >= L+m;
-    * a node acquires a period-1 loop at level i and its level-restricted
-      variant breaks the wrap-around conditions for some iota ->
-      irreversible for every n >= i+iota.
+    * a node created at level i acquires a period-1 loop and its
+      level-restricted variant breaks the wrap-around conditions for some
+      iota -> irreversible for every n >= i+iota.
 
     The truncated node count and height are the ones the early-stopping
     classification procedure reports; `stop_horizon` carries the proven
@@ -109,30 +81,24 @@ def build_minimized(
     root = root_node(p)
     ids: dict[Gamma, int] = {root: 0}
     gammas: list[Gamma] = [root]
-    levels: list[list[int]] = [[0]]
     children: list[list[int]] = [[-1] * p.d]
+    born: list[int] = [0]  # creation level
+    loop1: list[bool] = [False]  # has a period-1 loop (kept only when stopping)
     created: list[list[int]] = [[]]  # nodes first built from this one
     height = 0
 
-    def add_level(start: int, new_level: int) -> None:
-        work = deque([(start, new_level)])
+    def flag_loop(start: int) -> None:
+        # the loop carries down the creation links, which form a tree
+        work = deque([start])
         while work:
-            nid, lvl = work.popleft()
-            if _implied(levels[nid], lvl):
+            nid = work.popleft()
+            if loop1[nid]:
                 continue
-            levels[nid] = _pruned(levels[nid] + [lvl])
-            if len(levels[nid]) > _LEVEL_SET_CAP:
-                raise ValueError(
-                    f"level set of node {nid} exceeded {_LEVEL_SET_CAP} entries"
-                )
-            if stop_on_violation and levels[nid][1:2] == [levels[nid][0] + 1]:
-                # period-1 loop: the node sits at every level >= its minimum
-                base = levels[nid][0]
-                for iota in range(1, p.m):
-                    if node_violates(gammas[nid], iota, rule):
-                        raise _TriviallyIrreversible(base + iota)
-            for child in created[nid]:
-                work.append((child, lvl + 1))
+            loop1[nid] = True
+            for iota in range(1, p.m):
+                if node_violates(gammas[nid], iota, rule):
+                    raise _TriviallyIrreversible(born[nid] + iota)
+            work.extend(created[nid])
 
     frontier = [0]
     level = 0
@@ -154,8 +120,9 @@ def build_minimized(
                             )
                         ids[child] = cid
                         gammas.append(child)
-                        levels.append([l + 1 for l in levels[nid]])
                         children.append([-1] * p.d)
+                        born.append(level)
+                        loop1.append(loop1[nid])
                         created.append([])
                         created[nid].append(cid)
                         children[nid][x] = cid
@@ -165,25 +132,23 @@ def build_minimized(
                             raise _TriviallyIrreversible(level + p.m)
                     else:
                         children[nid][x] = cid
-                        add_level(cid, level)
+                        if stop_on_violation and level == born[cid] + 1 and not loop1[cid]:
+                            flag_loop(cid)
             frontier = new_frontier
     except _TriviallyIrreversible as stop:
         stopped_at = level
         stop_horizon = stop.horizon
-    return MinimizedTree(rule, gammas, levels, children, height, stopped_at, stop_horizon)
+    return MinimizedTree(rule, gammas, children, height, stopped_at, stop_horizon)
 
 
 def occurs_at_level(tree: MinimizedTree, node_id: int, p: int) -> bool:
     """Does the node appear at level p of the unrolled tree?
 
     Exact (read from the level sequence), so the tree must be fully built.
-    Each call rebuilds the level sequence and every node's occurrences, which
-    costs O(transient + period) level sets of up to M nodes; to query many
-    nodes, call `exact_occurrences` once and test `p in occurrences[node_id]`.
     """
     if p < 0:
         raise ValueError(f"level must be >= 0, got {p}")
-    return p in exact_occurrences(tree)[node_id]
+    return p in tree.occurrences[node_id]
 
 
 _SEQUENCE_CAP = 1 << 14
@@ -234,59 +199,77 @@ class Occurrences:
 
     @property
     def min_level(self) -> int:
-        candidates = list(self.sporadic) + list(self.anchors)
-        return min(candidates)
+        return min(self.sporadic + self.anchors)
+
+    def label(self) -> str:
+        """{a,a+period} for one progression (the paper's loop notation), {l}
+        for one level; else the sporadic levels ("only" when there is no
+        progression) and each progression a+period*k, joined by ∪."""
+        if not self.sporadic and len(self.anchors) == 1:
+            a = self.anchors[0]
+            return f"{{{a},{a + self.period}}}"
+        finite = "{" + ",".join(map(str, self.sporadic)) + "}"
+        if not self.anchors:
+            return finite if len(self.sporadic) == 1 else f"{finite} only"
+        step = "" if self.period == 1 else self.period
+        parts = [finite] if self.sporadic else []
+        return " ∪ ".join(parts + [f"{a}+{step}k" for a in self.anchors])
+
+
+def _pattern_occurrences(mask: int, transient: int, period: int) -> Occurrences:
+    """Occurrences of a node whose positions in the level-sequence prefix are
+    the set bits of mask.
+
+    Residue classes are coarsened: if the positions within the cycle are
+    closed under a divisor g of the period, the progressions use period g
+    (this is what turns the global cycle back into the small per-loop
+    periods the size expressions are phrased in).
+    """
+    sporadic = [t for t in range(transient) if mask >> t & 1]
+    res = {c for c in range(period) if mask >> (transient + c) & 1}
+    if not res:
+        return Occurrences(tuple(sporadic), (), 1)
+    g = next(
+        cand
+        for cand in range(1, period + 1)
+        if period % cand == 0 and all((c + cand) % period in res for c in res)
+    )
+    anchors = sorted(
+        {min(transient + c for c in res if (transient + c) % g == r)
+         for r in {(transient + c) % g for c in res}}
+    )
+    # pull each anchor back through contiguous pre-cycle occurrences so a
+    # loop entered late still yields the progression's true first member
+    spor = set(sporadic)
+    lowered = []
+    for a in anchors:
+        while a - g in spor:
+            a -= g
+            spor.remove(a)
+        lowered.append(a)
+    return Occurrences(tuple(sorted(spor)), tuple(sorted(lowered)), g)
 
 
 def exact_occurrences(tree: MinimizedTree) -> list[Occurrences]:
     """Per-node exact occurrence data from the level sequence.
 
-    Residue classes are coarsened per node: if a node's occurrences within
-    the cycle are closed under a divisor g of the global period, its
-    progressions use period g (this is what turns the global cycle back into
-    the small per-loop periods the size expressions are phrased in).
+    Nodes at the same positions of the sequence share one `Occurrences`,
+    computed once.
     """
     prefix, transient, period = level_sequence(tree)
-    sporadic: list[list[int]] = [[] for _ in range(tree.unique_nodes)]
-    residues: list[set[int]] = [set() for _ in range(tree.unique_nodes)]
-    for t in range(transient):
-        for nid in prefix[t]:
-            sporadic[nid].append(t)
-    for c in range(period):
-        for nid in prefix[transient + c]:
-            residues[nid].add(c)
-    out = []
-    for nid in range(tree.unique_nodes):
-        res = residues[nid]
-        if not res:
-            out.append(Occurrences(tuple(sporadic[nid]), (), 1))
-            continue
-        g = period
-        for cand in range(1, period + 1):
-            if period % cand == 0 and all((c + cand) % period in res for c in res):
-                g = cand
-                break
-        anchors = sorted(
-            {min(transient + c for c in res if (transient + c) % g == r)
-             for r in {(transient + c) % g for c in res}}
-        )
-        # pull each anchor back through contiguous pre-cycle occurrences so a
-        # loop entered late still yields the progression's true first member
-        spor = set(sporadic[nid])
-        lowered = []
-        for a in anchors:
-            while a - g in spor:
-                a -= g
-                spor.remove(a)
-            lowered.append(a)
-        out.append(Occurrences(tuple(sorted(spor)), tuple(sorted(lowered)), g))
-    return out
+    masks = [0] * tree.unique_nodes
+    for t, nodes in enumerate(prefix):
+        bit = 1 << t
+        for nid in nodes:
+            masks[nid] |= bit
+    shared = {mask: _pattern_occurrences(mask, transient, period) for mask in set(masks)}
+    return [shared[mask] for mask in masks]
 
 
 def loops_of(tree: MinimizedTree, node_id: int) -> list[tuple[int, int]]:
-    """(base, period) pairs, one per level beyond the minimum."""
-    lv = tree.levels[node_id]
-    return [(lv[0], other - lv[0]) for other in lv[1:]]
+    """(first level, period) of each progression of the node's levels."""
+    occ = tree.occurrences[node_id]
+    return [(a, occ.period) for a in occ.anchors]
 
 
 def tree_to_json(tree: MinimizedTree) -> dict:
@@ -296,11 +279,15 @@ def tree_to_json(tree: MinimizedTree) -> dict:
         "nodes": [
             {
                 "id": nid,
-                "levels": list(tree.levels[nid]),
+                "levels": {
+                    "sporadic": list(occ.sporadic),
+                    "anchors": list(occ.anchors),
+                    "period": occ.period,
+                },
                 "gamma": [gamma_rmts(g) for g in node_sets(gamma, tree.rule.params)],
                 "children": list(tree.children[nid]),
             }
-            for nid, gamma in enumerate(tree.gammas)
+            for nid, (gamma, occ) in enumerate(zip(tree.gammas, tree.occurrences))
         ],
     }
 
@@ -310,11 +297,10 @@ def dump_json(tree: MinimizedTree) -> str:
 
 
 def export_minimized_dot(tree: MinimizedTree) -> str:
-    """DOT digraph; node labels carry the level sets, edges their output state."""
+    """DOT digraph; node labels carry the exact levels, edges their output state."""
     lines = ["digraph minimized_tree {"]
-    for nid in range(tree.unique_nodes):
-        lv = ",".join(map(str, tree.levels[nid]))
-        lines.append(f'    {nid} [label="N{nid}\\nlevels {{{lv}}}"];')
+    for nid, occ in enumerate(tree.occurrences):
+        lines.append(f'    {nid} [label="N{nid}\\nlevels {occ.label()}"];')
     for nid in range(tree.unique_nodes):
         for x, child in enumerate(tree.children[nid]):
             if child >= 0:

@@ -1,10 +1,15 @@
 import json
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from revca import mintree
 from revca.classifier import classify, is_reversible_for
 from revca.mintree import (
+    Occurrences,
     build_minimized,
     dump_json,
     exact_occurrences,
@@ -14,8 +19,15 @@ from revca.mintree import (
     occurs_at_level,
     tree_to_json,
 )
-from revca.rulespace import RuleParams, parse_rule, rule_from_decimal
-from revca.rtree import build_full_tree, gamma_rmts, reversible_for_n_by_tree
+from revca.rulespace import Rule, RuleParams, parse_rule, rule_from_decimal
+from revca.rtree import (
+    build_full_tree,
+    child_node,
+    gamma_rmts,
+    node_violates,
+    reversible_for_n_by_tree,
+    root_node,
+)
 
 from conftest import eca
 
@@ -27,6 +39,148 @@ def as_gamma(*sets, params=RuleParams(2, 3)):
         for r in s:
             node |= 1 << (k * params.table_size + r)
     return node
+
+
+def paper_levels(occ):
+    """The paper's level set of a node: [l] for one level, [a, a+period] for
+    one progression."""
+    if not occ.anchors:
+        assert len(occ.sporadic) == 1, occ
+        return list(occ.sporadic)
+    assert not occ.sporadic and len(occ.anchors) == 1, occ
+    return [occ.anchors[0], occ.anchors[0] + occ.period]
+
+
+def by_paper_levels(tree):
+    return {tuple(paper_levels(occ)): i for i, occ in enumerate(tree.occurrences)}
+
+
+# the construction-time level sets the build used to keep, with the period-1
+# early stop they drove: the reference for the one-flag trigger
+
+
+def _implied(levels, p):
+    """Membership under the loop rule: p is explicit, or lies on a progression
+    anchored at the minimum level with the period of some other explicit level."""
+    if p in levels:
+        return True
+    base = levels[0]
+    if p < base:
+        return False
+    return any((p - base) % (other - base) == 0 for other in levels[1:])
+
+
+def _pruned(levels):
+    """Drop explicit levels already implied by the rest (largest first)."""
+    out = sorted(levels)
+    changed = True
+    while changed:
+        changed = False
+        for idx in range(len(out) - 1, 0, -1):
+            rest = out[:idx] + out[idx + 1 :]
+            if _implied(rest, out[idx]):
+                out.pop(idx)
+                changed = True
+                break
+    return out
+
+
+class _Stop(Exception):
+    def __init__(self, horizon):
+        self.horizon = horizon
+
+
+def reference_build(rule, max_nodes, stop_on_violation):
+    """(gammas, levels, children, height, stopped_at, stop_horizon)"""
+    p = rule.params
+    root = root_node(p)
+    ids = {root: 0}
+    gammas, levels, children, created = [root], [[0]], [[-1] * p.d], [[]]
+    height = 0
+
+    def add_level(start, new_level):
+        work = deque([(start, new_level)])
+        while work:
+            nid, lvl = work.popleft()
+            if _implied(levels[nid], lvl):
+                continue
+            levels[nid] = _pruned(levels[nid] + [lvl])
+            if stop_on_violation and levels[nid][1:2] == [levels[nid][0] + 1]:
+                base = levels[nid][0]
+                for iota in range(1, p.m):
+                    if node_violates(gammas[nid], iota, rule):
+                        raise _Stop(base + iota)
+            for child in created[nid]:
+                work.append((child, lvl + 1))
+
+    frontier, level, stopped_at, stop_horizon = [0], 0, None, None
+    try:
+        while frontier and stopped_at is None:
+            level += 1
+            new_frontier = []
+            for nid in frontier:
+                for x in range(p.d):
+                    _, child = child_node(gammas[nid], x, rule)
+                    cid = ids.get(child)
+                    if cid is None:
+                        cid = len(gammas)
+                        if cid >= max_nodes:
+                            raise ValueError(f"minimized tree exceeds {max_nodes} nodes")
+                        ids[child] = cid
+                        gammas.append(child)
+                        levels.append([lv + 1 for lv in levels[nid]])
+                        children.append([-1] * p.d)
+                        created.append([])
+                        created[nid].append(cid)
+                        children[nid][x] = cid
+                        new_frontier.append(cid)
+                        height = level
+                        if stop_on_violation and node_violates(child, 0, rule):
+                            raise _Stop(level + p.m)
+                    else:
+                        children[nid][x] = cid
+                        add_level(cid, level)
+            frontier = new_frontier
+    except _Stop as stop:
+        stopped_at, stop_horizon = level, stop.horizon
+    return gammas, levels, children, height, stopped_at, stop_horizon
+
+
+def reference_occurrences(tree):
+    """One Occurrences per node, each computed on its own."""
+    prefix, transient, period = level_sequence(tree)
+    sporadic = [[] for _ in range(tree.unique_nodes)]
+    residues = [set() for _ in range(tree.unique_nodes)]
+    for t in range(transient):
+        for nid in prefix[t]:
+            sporadic[nid].append(t)
+    for c in range(period):
+        for nid in prefix[transient + c]:
+            residues[nid].add(c)
+    out = []
+    for nid in range(tree.unique_nodes):
+        res = residues[nid]
+        if not res:
+            out.append(Occurrences(tuple(sporadic[nid]), (), 1))
+            continue
+        g = period
+        for cand in range(1, period + 1):
+            if period % cand == 0 and all((c + cand) % period in res for c in res):
+                g = cand
+                break
+        anchors = sorted(
+            {min(transient + c for c in res if (transient + c) % g == r)
+             for r in {(transient + c) % g for c in res}}
+        )
+        spor = set(sporadic[nid])
+        lowered = []
+        for a in anchors:
+            while a - g in spor:
+                a -= g
+                spor.remove(a)
+            lowered.append(a)
+        out.append(Occurrences(tuple(sorted(spor)), tuple(sorted(lowered)), g))
+    return out
 
 
 # the full unique-node table for rule 75 (d=2, m=3): gamma -> level set
@@ -63,7 +217,7 @@ class TestEca75Tree:
 
     def test_every_node_and_level_set(self):
         tree = build_minimized(eca(75))
-        got = {tree.gammas[i]: tree.levels[i] for i in range(tree.unique_nodes)}
+        got = {g: paper_levels(occ) for g, occ in zip(tree.gammas, tree.occurrences)}
         assert got == ECA75_TABLE
 
 
@@ -85,7 +239,7 @@ class TestSizes:
 class TestOccurrence:
     def test_loop_membership(self):
         tree = build_minimized(eca(75))
-        by_levels = {tuple(tree.levels[i]): i for i in range(tree.unique_nodes)}
+        by_levels = by_paper_levels(tree)
         node13 = by_levels[(1, 3)]
         assert occurs_at_level(tree, node13, 7)  # period 2
         assert not occurs_at_level(tree, node13, 6)
@@ -106,12 +260,72 @@ class TestOccurrence:
             occurs_at_level(tree, 0, -1)
 
     def test_level_set_misses_a_level(self):
-        # ECA 23's node 17 has the level set {4, 6}, yet sits at level 7
+        # ECA 23's node 17 sits at level 7, which the construction-time level
+        # set {4, 6} missed; the exports now show it
         rule = eca(23)
         tree = build_minimized(rule)
-        assert tree.levels[17] == [4, 6]
+        assert reference_build(rule, 1000, False)[1][17] == [4, 6]
         assert occurs_at_level(tree, 17, 7)
         assert tree.gammas[17] in build_full_tree(rule, 10).level_nodes[7]
+        assert tree_to_json(tree)["nodes"][17]["levels"] == {
+            "sporadic": [4],
+            "anchors": [6],
+            "period": 1,
+        }
+        assert '17 [label="N17\\nlevels {4} ∪ 6+k"];' in export_minimized_dot(tree)
+
+    @pytest.mark.parametrize("value", [23, 75])
+    def test_exported_levels_match_full_tree(self, value):
+        # on levels 0..n-m of a size-n tree, a node with RMTs occurs exactly
+        # where its exported levels say (the full tree does not expand empty
+        # edges, so the empty node is only required where the full tree has it)
+        rule = eca(value)
+        tree = build_minimized(rule)
+        full = build_full_tree(rule, 12)
+        payload = tree_to_json(tree)
+        for node, gamma in zip(payload["nodes"], tree.gammas):
+            occ = Occurrences(
+                tuple(node["levels"]["sporadic"]),
+                tuple(node["levels"]["anchors"]),
+                node["levels"]["period"],
+            )
+            for level in range(12 - rule.params.m + 1):
+                in_full = gamma in full.level_nodes[level]
+                assert in_full <= (level in occ), (value, node["id"], level)
+                assert gamma == 0 or in_full == (level in occ), (value, node["id"], level)
+
+    def test_period_1_level_set_was_wrong(self):
+        # ECA 23's node 21 had the level set {4, 5}, "every level from 4 on",
+        # but it is not at level 6
+        rule = eca(23)
+        tree = build_minimized(rule)
+        assert reference_build(rule, 1000, False)[1][21] == [4, 5]
+        assert tree.gammas[21] not in build_full_tree(rule, 12).level_nodes[6]
+        assert not occurs_at_level(tree, 21, 6)
+        assert tree_to_json(tree)["nodes"][21]["levels"] == {
+            "sporadic": [4, 5],
+            "anchors": [7],
+            "period": 1,
+        }
+        assert '21 [label="N21\\nlevels {4,5} ∪ 7+k"];' in export_minimized_dot(tree)
+
+    def test_occurrences_computed_once_per_tree(self, monkeypatch):
+        calls = []
+        real = mintree.level_sequence
+
+        def counted(tree):
+            calls.append(tree)
+            return real(tree)
+
+        monkeypatch.setattr(mintree, "level_sequence", counted)
+        tree = build_minimized(eca(23))
+        for nid in range(tree.unique_nodes):
+            for level in range(12):
+                occurs_at_level(tree, nid, level)
+            loops_of(tree, nid)
+        dump_json(tree)
+        export_minimized_dot(tree)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("value", [23, 27, 43, 57, 75, 105])
     def test_every_intermediate_node_occurs(self, value):
@@ -134,7 +348,7 @@ class TestOccurrence:
 
     def test_loops(self):
         tree = build_minimized(eca(75))
-        by_levels = {tuple(tree.levels[i]): i for i in range(tree.unique_nodes)}
+        by_levels = by_paper_levels(tree)
         assert loops_of(tree, by_levels[(1, 3)]) == [(1, 2)]
         assert loops_of(tree, by_levels[(2, 4)]) == [(2, 2)]
         assert loops_of(tree, 0) == []
@@ -145,8 +359,8 @@ class TestConstruction:
         a = build_minimized(eca(110))
         b = build_minimized(eca(110))
         assert a.gammas == b.gammas
-        assert a.levels == b.levels
         assert a.children == b.children
+        assert a.occurrences == b.occurrences
 
     def test_node_limit(self):
         with pytest.raises(ValueError, match="nodes"):
@@ -179,6 +393,85 @@ class TestConstruction:
         for n in range(tree.stop_horizon, tree.stop_horizon + 4):
             assert not pair_trace_oracle(rule, n)
 
+    @pytest.mark.parametrize(
+        "d,m,text,pinned",
+        [
+            # rule 5865: its fixpoint tree has over 100k nodes
+            (2, 4, "0001011011101001", (472, 9, 9, 9)),
+            # the flag pushed down the creation links decides the stop
+            (2, 4, "1110011100011000", (387, 8, 8, 9)),
+            (2, 4, "1010011101011000", (994, 10, 10, 12)),
+            # a new node inheriting its creator's flag decides the stop
+            (4, 2, "2301312020312130", (36, 4, 4, 4)),
+        ],
+    )
+    def test_period_1_trigger_pinned(self, d, m, text, pinned):
+        # each stops on the period-1 loop rule, not on an intermediate-level
+        # violation (whose horizon is stopped_at + m)
+        rule = parse_rule(text, RuleParams(d, m))
+        tree = build_minimized(rule, stop_on_violation=True)
+        got = (tree.unique_nodes, tree.height, tree.stopped_at, tree.stop_horizon)
+        assert got == pinned
+        assert tree.stop_horizon < tree.stopped_at + m
+        ref = reference_build(rule, 5000, True)
+        assert (ref[0], ref[2], ref[3], ref[4], ref[5]) == (
+            tree.gammas,
+            tree.children,
+            tree.height,
+            tree.stopped_at,
+            tree.stop_horizon,
+        )
+
+    def test_trigger_stops_match_reference(self):
+        # seeded balanced rules, about a tenth of which stop on the trigger
+        rng = random.Random(5)
+        trigger_stops = 0
+        for _ in range(120):
+            p = RuleParams(*rng.choice([(2, 3), (3, 2), (4, 2), (2, 4), (3, 3), (2, 5)]))
+            table = [x for x in range(p.d) for _ in range(p.table_size // p.d)]
+            rng.shuffle(table)
+            rule = Rule(p, tuple(table))
+            ref = reference_build(rule, 5000, True)
+            tree = build_minimized(rule, max_nodes=5000, stop_on_violation=True)
+            got = (tree.gammas, tree.children, tree.height, tree.stopped_at, tree.stop_horizon)
+            assert got == (ref[0], ref[2], ref[3], ref[4], ref[5]), rule
+            if tree.stopped_at is not None:
+                trigger_stops += tree.stop_horizon < tree.stopped_at + p.m
+        assert trigger_stops >= 5
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([(2, 3), (3, 2), (4, 2), (2, 4), (3, 3), (2, 5)]),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_level_set_reference(self, shape, rng, balanced, stop):
+        # most random tables are unbalanced and stop at once; balanced ones
+        # reach the period-1 trigger
+        p = RuleParams(*shape)
+        if balanced:
+            table = [x for x in range(p.d) for _ in range(p.table_size // p.d)]
+            rng.shuffle(table)
+        else:
+            table = [rng.randrange(p.d) for _ in range(p.table_size)]
+        rule = Rule(p, tuple(table))
+        cap = 1500
+        try:
+            ref = reference_build(rule, cap, stop)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                build_minimized(rule, max_nodes=cap, stop_on_violation=stop)
+            return
+        tree = build_minimized(rule, max_nodes=cap, stop_on_violation=stop)
+        assert (tree.gammas, tree.children, tree.height, tree.stopped_at, tree.stop_horizon) == (
+            ref[0],
+            ref[2],
+            ref[3],
+            ref[4],
+            ref[5],
+        )
+
     def test_non_violating_rule_ignores_stop_flag(self):
         a = build_minimized(eca(75), stop_on_violation=True)
         assert a.stopped_at is None
@@ -186,6 +479,21 @@ class TestConstruction:
 
 
 class TestReconstruction:
+    def test_grouped_occurrences_match_per_node(self):
+        # one Occurrences per distinct level pattern, equal node for node to
+        # the per-node computation
+        rng = random.Random(31)
+        rules = [eca(v) for v in range(256)]
+        rules += [rule_from_decimal(rng.randrange(3**9), RuleParams(3, 2)) for _ in range(40)]
+        rules += [rule_from_decimal(rng.randrange(1 << 16), RuleParams(2, 4)) for _ in range(40)]
+        rules.append(parse_rule("012210210102012102210210012", RuleParams(3, 3)))
+        for rule in rules:
+            try:
+                tree = build_minimized(rule, max_nodes=5000)
+            except ValueError:
+                continue
+            assert exact_occurrences(tree) == reference_occurrences(tree), rule
+
     def test_intermediate_levels_are_predicted(self):
         # every node the full tree builds at an intermediate level must be a
         # known unique node whose exact occurrence set contains that level
@@ -248,6 +556,7 @@ class TestExports:
         assert len(payload["nodes"]) == 21
         node = payload["nodes"][0]
         assert set(node) == {"id", "levels", "gamma", "children"}
+        assert node["levels"] == {"sporadic": [0], "anchors": [], "period": 1}
         assert node["gamma"] == [[0, 1], [2, 3], [4, 5], [6, 7]]
         parsed = json.loads(dump_json(tree))
         assert parsed == payload
