@@ -110,7 +110,7 @@ def build_minimized(
             new_frontier = []
             for nid in frontier:
                 for x in range(p.d):
-                    _, child = child_node(gammas[nid], x, rule)
+                    child = child_node(gammas[nid], x, rule)
                     cid = ids.get(child)
                     if cid is None:
                         cid = len(gammas)

@@ -34,11 +34,6 @@ Gamma = int  # packed node: d^(m-1) slots of d^m bits, one RMT set per slot
 DEFAULT_TREE_LIMIT = 1_000_000
 
 
-class EdgeLabel(NamedTuple):
-    gamma: Gamma
-    state: int
-
-
 class _Shape(NamedTuple):
     """Per-shape constants of the packed format; masks repeat in every slot."""
 
@@ -118,11 +113,12 @@ def node_violates(gamma: Gamma, iota: int, rule: Rule) -> bool:
     return False
 
 
-def child_node(parent: Gamma, state: int, rule: Rule) -> tuple[EdgeLabel, Gamma]:
-    """Edge label and (unrestricted) child of a node for output `state`.
+def child_node(parent: Gamma, state: int, rule: Rule) -> Gamma:
+    """(Unrestricted) child of a node for output `state`.
 
-    Edge: the parent RMTs mapped to `state`.  Child: for each edge RMT r, the
-    sibling set of r mod d^(m-1).
+    The edge to it keeps the parent RMTs mapped to `state`,
+    `parent & rule.node_state_masks[state]`; the child holds, for each edge
+    RMT r, the sibling set of r mod d^(m-1).
     """
     p = rule.params
     if not 0 <= state < p.d:
@@ -136,7 +132,7 @@ def child_node(parent: Gamma, state: int, rule: Rule) -> tuple[EdgeLabel, Gamma]
     for mask, shift in shape.spread:
         moved = folded & mask
         folded ^= moved ^ (moved << shift)
-    return EdgeLabel(edge, state), folded * shape.block
+    return folded * shape.block
 
 
 def restrict_special(gamma: Gamma, iota: int, params: RuleParams) -> Gamma:
@@ -202,12 +198,12 @@ def build_full_tree(rule: Rule, n: int, limit: int = DEFAULT_TREE_LIMIT) -> Full
         iota = n - child_level  # restriction parameter when 1 <= iota <= m-1
         for gamma, count in current.items():
             for x in range(p.d):
-                edge, child = child_node(gamma, x, rule)
-                total = node_total(edge.gamma)
+                total = node_total(gamma & rule.node_state_masks[x])
                 sizes.add(total)
                 if total == 0:
                     complete = False
                     continue
+                child = child_node(gamma, x, rule)
                 if 1 <= iota <= p.m - 1:
                     child = restrict_special(child, iota, p)
                 nxt[child] = nxt.get(child, 0) + count

@@ -284,6 +284,24 @@ class TestExitCodes:
         assert "ORACLE MISMATCH" in err
         assert "disagree" in err
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["oracle", "--method", "bruteforce"],
+            ["export", "--target", "transition-diagram"],
+        ],
+    )
+    def test_brute_force_size_below_one_exits_1(self, capsys, command, n):
+        code, out, err = run(
+            capsys,
+            *command, "--states", "2", "--neighborhood", "3", "--rule", "75", "--n", n,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: size must be >= 1, got {n}\n"
+        assert "Traceback" not in err
+
     def test_left_radius_flag(self, capsys):
         code, out, _ = run(
             capsys,

@@ -34,6 +34,40 @@ def small_rule(draw):
 rules = st.composite(small_rule)()
 
 
+def reference_successor_codes(rule, n):
+    """Per-column reference: each cell's digit column of every code with
+    int64 // and %, and the RMT as a rolling window over the columns."""
+    p = rule.params
+    d = p.d
+    codes = np.arange(d**n, dtype=np.int64)
+    table = np.asarray(rule.table, dtype=np.int64)
+
+    def column(j):
+        return (codes // d ** (n - 1 - j % n)) % d
+
+    rmt = np.zeros(d**n, dtype=np.int64)
+    for k in range(-p.l_r, p.r_r + 1):
+        rmt = rmt * d + column(k)
+    succ = table[rmt].copy()
+    for i in range(1, n):
+        rmt = (rmt % p.node_width) * d + column(i + p.r_r)
+        succ = succ * d + table[rmt]
+    return succ
+
+
+# (d, m, largest n): d^n runs past one scan block (2^12 configurations), so
+# the blocked scan and its early exit are exercised
+KERNEL_SHAPES = [(2, 2, 14), (2, 3, 14), (2, 4, 14), (3, 2, 9), (3, 3, 9), (4, 2, 7)]
+
+
+@st.composite
+def split_rule_and_size(draw):
+    d, m, top = draw(st.sampled_from(KERNEL_SHAPES))
+    params = RuleParams(d, m, l_r=draw(st.integers(0, m - 1)))
+    table = draw(st.tuples(*[st.integers(0, d - 1) for _ in range(params.table_size)]))
+    return Rule(params, table), draw(st.integers(1, top))
+
+
 class TestConfigCoding:
     def test_round_trip(self):
         assert config_to_code((1, 0, 2, 1), 3) == 34
@@ -106,6 +140,55 @@ class TestPredecessors:
     def test_limit_enforced(self):
         with pytest.raises(ValueError, match="exceed"):
             predecessors((0,) * 10, eca(30), limit=100)
+
+    def test_empty_configuration_rejected(self):
+        with pytest.raises(ValueError, match="size must be >= 1, got 0"):
+            predecessors((), eca(30))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "fn", [brute_force_reversible, successor_codes, reachable_codes, export_transition_diagram]
+)
+def test_size_below_one_rejected(fn, n):
+    with pytest.raises(ValueError, match=f"size must be >= 1, got {n}"):
+        fn(eca(30), n)
+
+
+class TestKernelAgainstReference:
+    @given(split_rule_and_size())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_column_reference(self, case):
+        # every split, sizes from 1 (below m too) up to several scan blocks
+        rule, n = case
+        ref = reference_successor_codes(rule, n)
+        succ = successor_codes(rule, n)
+        assert succ.shape == ref.shape
+        assert (succ == ref).all()
+        assert brute_force_reversible(rule, n) == (len(np.unique(ref)) == rule.params.d**n)
+
+    @pytest.mark.parametrize(
+        "rule,n,reversible",
+        [
+            # reversible: the whole multi-block scan runs
+            (Rule(RuleParams(2, 4), tuple((r >> 2) & 1 for r in range(16))), 14, True),
+            (eca(170), 14, True),
+            (eca(75), 13, True),
+            (rule33(FIG2_RULE), 9, True),
+            (eca(170), 18, True),  # blocks fix two grid axes
+            # not injective: the scan stops at a shared successor
+            (eca(75), 14, False),
+            (eca(75), 18, False),
+            (eca(30), 14, False),
+            (rule33(FIG3B_RULE), 9, False),
+        ],
+    )
+    def test_multi_block_cases(self, rule, n, reversible):
+        assert rule.params.d**n > 1 << 12
+        ref = reference_successor_codes(rule, n)
+        assert (len(np.unique(ref)) == rule.params.d**n) == reversible
+        assert (successor_codes(rule, n) == ref).all()
+        assert brute_force_reversible(rule, n) == reversible
 
 
 class TestBruteForce:

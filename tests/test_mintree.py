@@ -120,7 +120,7 @@ def reference_build(rule, max_nodes, stop_on_violation):
             new_frontier = []
             for nid in frontier:
                 for x in range(p.d):
-                    _, child = child_node(gammas[nid], x, rule)
+                    child = child_node(gammas[nid], x, rule)
                     cid = ids.get(child)
                     if cid is None:
                         cid = len(gammas)

@@ -48,17 +48,17 @@ class TestNodeBasics:
         rule = eca(75)
         p = rule.params
         root = root_node(p)
-        edge0, child0 = child_node(root, 0, rule)
+        child0 = child_node(root, 0, rule)
         assert gamma_sets(child0, p) == gamma_sets(
             as_gamma(p, (), (4, 5), (0, 1, 2, 3), (6, 7)), p
         )
-        edge1, child1 = child_node(root, 1, rule)
+        child1 = child_node(root, 1, rule)
         assert gamma_sets(child1, p) == gamma_sets(
             as_gamma(p, (0, 1, 2, 3), (6, 7), (), (4, 5)), p
         )
-        assert edge0.state == 0 and edge1.state == 1
+        edge0, edge1 = (root & rule.node_state_masks[x] for x in (0, 1))
         # edges partition the parent by output state
-        sets0, sets1, root_sets = (node_sets(g, p) for g in (edge0.gamma, edge1.gamma, root))
+        sets0, sets1, root_sets = (node_sets(g, p) for g in (edge0, edge1, root))
         for k in range(4):
             assert (sets0[k] | sets1[k]) == root_sets[k]
             assert (sets0[k] & sets1[k]) == 0
@@ -66,8 +66,8 @@ class TestNodeBasics:
     def test_empty_parent_gives_empty_child(self):
         rule = eca(75)
         empty = as_gamma(rule.params, (), (), (), ())
-        edge, child = child_node(empty, 1, rule)
-        assert node_total(edge.gamma) == 0
+        child = child_node(empty, 1, rule)
+        assert node_total(empty & rule.node_state_masks[1]) == 0
         assert node_total(child) == 0
 
     def test_rejects_bad_state(self):
@@ -77,7 +77,7 @@ class TestNodeBasics:
     def test_totals_count_multiplicity(self):
         # rule 85 builds nodes whose sets repeat RMTs; totals still reach d^m
         rule = eca(85)
-        _, child = child_node(root_node(rule.params), 0, rule)
+        child = child_node(root_node(rule.params), 0, rule)
         assert gamma_sets(child, rule.params) == gamma_sets(
             as_gamma(rule.params, (2, 3), (6, 7), (2, 3), (6, 7)), rule.params
         )
@@ -192,11 +192,11 @@ class TestPackedKernel:
             for j in range(1, m):
                 assert tuple(node_sets(restrict_special(node, j, p), p)) == ref_restrict(ref, j, p)
                 assert node_violates(node, j, rule) == ref_violates(ref, j, rule)
-            edge, node = child_node(node, state, rule)
+            edge = node & rule.node_state_masks[state]
+            node = child_node(node, state, rule)
             ref_edge, ref = ref_child(ref, state, rule)
-            assert edge.state == state
-            assert tuple(node_sets(edge.gamma, p)) == ref_edge
-            assert node_total(edge.gamma) == ref_total(ref_edge)
+            assert tuple(node_sets(edge, p)) == ref_edge
+            assert node_total(edge) == ref_total(ref_edge)
             if iota:
                 node = restrict_special(node, iota, p)
                 ref = ref_restrict(ref, iota, p)
@@ -208,8 +208,8 @@ class TestPackedKernel:
         # sibling block per edge RMT
         p = RuleParams(d, m)
         rule = Rule(p, tuple(r % d for r in range(p.table_size)))
-        edge, child = child_node(root_node(p), 1, rule)
-        assert node_total(edge.gamma) == p.node_width
+        child = child_node(root_node(p), 1, rule)
+        assert node_total(root_node(p) & rule.node_state_masks[1]) == p.node_width
         assert node_total(child) == p.table_size
         assert not node_violates(child, 0, rule)
 
