@@ -12,6 +12,7 @@ import sys
 from typing import Callable
 
 from .classifier import (
+    DEFAULT_ORACLE_WINDOW,
     CAClass,
     Classification,
     OracleMismatchError,
@@ -35,6 +36,9 @@ from .rulespace import (
 
 ENUMERATE_FREE_BUDGET = 256
 ENUMERATE_HARD_LIMIT = 65536
+# above the largest (2,4) tree (40,320 nodes); a tree cut at the cap has no
+# exact levels, so the export fails rather than print part of it
+EXPORT_NODE_LIMIT = 100_000
 
 _CLASS_WORDS = {
     CAClass.REVERSIBLE: "Reversible",
@@ -91,8 +95,9 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--verified-up-to",
         type=int,
-        default=24,
-        help="cross-check sizes 1..N against the pair-graph oracle (default 24)",
+        default=DEFAULT_ORACLE_WINDOW,
+        help="cross-check sizes 1..N against the pair-graph oracle "
+        f"(default {DEFAULT_ORACLE_WINDOW})",
     )
     p.set_defaults(func=cmd_classify)
 
@@ -210,6 +215,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+_ENUMERATE_KEYS = ("decimal", "rule", "class", "expressions", "sporadic_irreversible", "tree")
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     params = RuleParams(d=args.states, m=args.neighborhood)
     total = params.d**params.table_size
@@ -227,20 +235,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         histogram[c.ca_class.value] += 1
         if args.class_filter and c.ca_class.value != args.class_filter:
             continue
-        row = {
-            "decimal": value,
-            "rule": str(rule),
-            "class": c.ca_class.value,
-            **c.irreversible.to_json(),
-            "tree": (
-                None
-                if c.evidence is None
-                else {
-                    "unique_nodes": c.evidence.unique_nodes,
-                    "height": c.evidence.height,
-                }
-            ),
-        }
+        full = classification_to_json(c)
+        row = {key: full[key] for key in _ENUMERATE_KEYS}
         if args.group_equivalents:
             row["minimal"] = minimal_decimal(rule)
         rows.append((row, expressions_text(c)))
@@ -278,7 +274,7 @@ def cmd_export(args: argparse.Namespace) -> int:
             raise UsageError("--n is required for the transition diagram")
         text = export_transition_diagram(rule, args.n)
     else:
-        text = export_minimized_dot(build_minimized(rule))
+        text = export_minimized_dot(build_minimized(rule, max_nodes=EXPORT_NODE_LIMIT))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

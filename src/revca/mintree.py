@@ -5,10 +5,12 @@ once; a child equal to an existing node only adds a link.
 
 Where a node sits in the unrolled tree is read from the level sequence: the
 child map drives a walk through node sets that is eventually periodic, so a
-node's levels are finitely many sporadic levels plus arithmetic progressions.
-`exact_occurrences` computes them once per distinct pattern of positions in
-the sequence, and `MinimizedTree.occurrences` keeps them for the exports,
-`loops_of` and `occurs_at_level`.
+node's levels form an eventually periodic set, held as a `SizeSet` (the
+type that also holds a rule's irreversible sizes).  `exact_occurrences`
+builds one per distinct pattern of positions in the sequence, and
+`MinimizedTree.occurrences` keeps them for `occurs_at_level` and for the
+outputs that read their `chains` (one progression per residue plus the loose
+levels): `loops_of`, the JSON/DOT exports and the classifier's scan.
 
 With `stop_on_violation` the build applies the paper's loop rule for period
 1: a node reached again at the level after the one it was created at has a
@@ -28,6 +30,7 @@ from functools import cached_property
 
 from .rtree import Gamma, child_node, gamma_rmts, node_sets, node_violates, root_node
 from .rulespace import Rule
+from .sizeset import SizeSet
 
 DEFAULT_NODE_LIMIT = 1_000_000
 
@@ -46,7 +49,7 @@ class MinimizedTree:
         return len(self.gammas)
 
     @cached_property
-    def occurrences(self) -> list[Occurrences]:
+    def occurrences(self) -> list[SizeSet]:
         """`exact_occurrences` of this tree, computed on first use."""
         return exact_occurrences(self)
 
@@ -183,77 +186,10 @@ def level_sequence(tree: MinimizedTree) -> tuple[list[frozenset[int]], int, int]
     return prefix, transient, period
 
 
-@dataclass(frozen=True)
-class Occurrences:
-    """Exact levels at which one node appears: finitely many sporadic levels
-    plus arithmetic progressions first_level + k*period (one per anchor)."""
+def exact_occurrences(tree: MinimizedTree) -> list[SizeSet]:
+    """Per-node exact level sets from the level sequence.
 
-    sporadic: tuple[int, ...]
-    anchors: tuple[int, ...]
-    period: int
-
-    def __contains__(self, level: int) -> bool:
-        return level in self.sporadic or any(
-            level >= a and (level - a) % self.period == 0 for a in self.anchors
-        )
-
-    @property
-    def min_level(self) -> int:
-        return min(self.sporadic + self.anchors)
-
-    def label(self) -> str:
-        """{a,a+period} for one progression (the paper's loop notation), {l}
-        for one level; else the sporadic levels ("only" when there is no
-        progression) and each progression a+period*k, joined by ∪."""
-        if not self.sporadic and len(self.anchors) == 1:
-            a = self.anchors[0]
-            return f"{{{a},{a + self.period}}}"
-        finite = "{" + ",".join(map(str, self.sporadic)) + "}"
-        if not self.anchors:
-            return finite if len(self.sporadic) == 1 else f"{finite} only"
-        step = "" if self.period == 1 else self.period
-        parts = [finite] if self.sporadic else []
-        return " ∪ ".join(parts + [f"{a}+{step}k" for a in self.anchors])
-
-
-def _pattern_occurrences(mask: int, transient: int, period: int) -> Occurrences:
-    """Occurrences of a node whose positions in the level-sequence prefix are
-    the set bits of mask.
-
-    Residue classes are coarsened: if the positions within the cycle are
-    closed under a divisor g of the period, the progressions use period g
-    (this is what turns the global cycle back into the small per-loop
-    periods the size expressions are phrased in).
-    """
-    sporadic = [t for t in range(transient) if mask >> t & 1]
-    res = {c for c in range(period) if mask >> (transient + c) & 1}
-    if not res:
-        return Occurrences(tuple(sporadic), (), 1)
-    g = next(
-        cand
-        for cand in range(1, period + 1)
-        if period % cand == 0 and all((c + cand) % period in res for c in res)
-    )
-    anchors = sorted(
-        {min(transient + c for c in res if (transient + c) % g == r)
-         for r in {(transient + c) % g for c in res}}
-    )
-    # pull each anchor back through contiguous pre-cycle occurrences so a
-    # loop entered late still yields the progression's true first member
-    spor = set(sporadic)
-    lowered = []
-    for a in anchors:
-        while a - g in spor:
-            a -= g
-            spor.remove(a)
-        lowered.append(a)
-    return Occurrences(tuple(sorted(spor)), tuple(sorted(lowered)), g)
-
-
-def exact_occurrences(tree: MinimizedTree) -> list[Occurrences]:
-    """Per-node exact occurrence data from the level sequence.
-
-    Nodes at the same positions of the sequence share one `Occurrences`,
+    Nodes at the same positions of the sequence share one `SizeSet`,
     computed once.
     """
     prefix, transient, period = level_sequence(tree)
@@ -262,14 +198,17 @@ def exact_occurrences(tree: MinimizedTree) -> list[Occurrences]:
         bit = 1 << t
         for nid in nodes:
             masks[nid] |= bit
-    shared = {mask: _pattern_occurrences(mask, transient, period) for mask in set(masks)}
+    shared = {
+        mask: SizeSet.periodic(lambda t: bool(mask >> t & 1), transient, period)
+        for mask in set(masks)
+    }
     return [shared[mask] for mask in masks]
 
 
 def loops_of(tree: MinimizedTree, node_id: int) -> list[tuple[int, int]]:
     """(first level, period) of each progression of the node's levels."""
-    occ = tree.occurrences[node_id]
-    return [(a, occ.period) for a in occ.anchors]
+    levels = tree.occurrences[node_id]
+    return [(a, levels.period) for a in levels.chains[1]]
 
 
 def tree_to_json(tree: MinimizedTree) -> dict:
@@ -280,14 +219,14 @@ def tree_to_json(tree: MinimizedTree) -> dict:
             {
                 "id": nid,
                 "levels": {
-                    "sporadic": list(occ.sporadic),
-                    "anchors": list(occ.anchors),
-                    "period": occ.period,
+                    "sporadic": list(levels.chains[0]),
+                    "anchors": list(levels.chains[1]),
+                    "period": levels.period,
                 },
                 "gamma": [gamma_rmts(g) for g in node_sets(gamma, tree.rule.params)],
                 "children": list(tree.children[nid]),
             }
-            for nid, (gamma, occ) in enumerate(zip(tree.gammas, tree.occurrences))
+            for nid, (gamma, levels) in enumerate(zip(tree.gammas, tree.occurrences))
         ],
     }
 
@@ -296,11 +235,26 @@ def dump_json(tree: MinimizedTree) -> str:
     return json.dumps(tree_to_json(tree), indent=2) + "\n"
 
 
+def _label(levels: SizeSet) -> str:
+    """{a,a+period} for one progression (the paper's loop notation), {l}
+    for one level; else the loose levels ("only" when there is no
+    progression) and each progression a+period*k, joined by ∪."""
+    loose, anchors = levels.chains
+    if not loose and len(anchors) == 1:
+        return f"{{{anchors[0]},{anchors[0] + levels.period}}}"
+    finite = "{" + ",".join(map(str, loose)) + "}"
+    if not anchors:
+        return finite if len(loose) == 1 else f"{finite} only"
+    step = "" if levels.period == 1 else levels.period
+    parts = [finite] if loose else []
+    return " ∪ ".join(parts + [f"{a}+{step}k" for a in anchors])
+
+
 def export_minimized_dot(tree: MinimizedTree) -> str:
     """DOT digraph; node labels carry the exact levels, edges their output state."""
     lines = ["digraph minimized_tree {"]
-    for nid, occ in enumerate(tree.occurrences):
-        lines.append(f'    {nid} [label="N{nid}\\nlevels {occ.label()}"];')
+    for nid, levels in enumerate(tree.occurrences):
+        lines.append(f'    {nid} [label="N{nid}\\nlevels {_label(levels)}"];')
     for nid in range(tree.unique_nodes):
         for x, child in enumerate(tree.children[nid]):
             if child >= 0:

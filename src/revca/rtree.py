@@ -172,9 +172,6 @@ class FullTree:
     level_nodes: list[dict[Gamma, int]]  # gamma -> number of paths reaching it
     edge_sizes: list[set[int]]  # distinct edge RMT totals per source level
 
-    def nodes_at(self, level: int) -> list[Gamma]:
-        return list(self.level_nodes[level])
-
 
 def build_full_tree(rule: Rule, n: int, limit: int = DEFAULT_TREE_LIMIT) -> FullTree:
     """Build all n+1 levels, deduplicating equal nodes within a level.

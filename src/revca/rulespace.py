@@ -143,24 +143,13 @@ class Rule:
     def digit_string(self) -> str:
         """The rule as the digit string R[d^m-1] ... R[1] R[0]."""
         if self.params.d > 10:
-            raise ValueError("digit strings are only defined for d <= 10; use decimal()")
+            raise ValueError("digit strings are only defined for d <= 10; use wolfram_decimal")
         return "".join(str(v) for v in reversed(self.table))
-
-    def decimal(self) -> int:
-        """Wolfram-style decimal code, sum of table[r] * d^r."""
-        return wolfram_decimal(self)
-
-    def is_balanced(self) -> bool:
-        """True when every state appears exactly d^(m-1) times in the table."""
-        return is_balanced_rule(self)
-
-    def is_strictly_irreversible(self) -> bool:
-        return is_strictly_irreversible(self)
 
     def __str__(self) -> str:
         if self.params.d <= 10:
             return self.digit_string()
-        return str(self.decimal())
+        return str(wolfram_decimal(self))
 
 
 def parse_rule(text: str, params: RuleParams) -> Rule:

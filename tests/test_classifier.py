@@ -214,13 +214,14 @@ def undeduplicated_scan(tree, rule):
     occurrence: the scan's output before duplicates were dropped."""
     p = rule.params
     progressions, sizes = [], []
-    for gamma, occ in zip(tree.gammas, exact_occurrences(tree)):
+    for gamma, levels in zip(tree.gammas, exact_occurrences(tree)):
+        loose, anchors = levels.chains
         if node_violates(gamma, 0, rule):
-            progressions.append(IrreversibilityExpression.segment(occ.min_level + p.m))
+            progressions.append(IrreversibilityExpression.segment(min(loose + anchors) + p.m))
         for iota in range(1, p.m):
             if node_violates(gamma, iota, rule):
-                progressions.extend(expr(a + iota, occ.period) for a in occ.anchors)
-                sizes.extend(lv + iota for lv in occ.sporadic if lv + iota >= p.m)
+                progressions.extend(expr(a + iota, levels.period) for a in anchors)
+                sizes.extend(lv + iota for lv in loose if lv + iota >= p.m)
     return progressions, sizes
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import revca
 from revca.classifier import OracleMismatchError, classify
-from revca.cli import main
+from revca.cli import EXPORT_NODE_LIMIT, main
 from revca.rulespace import RuleParams, rule_from_decimal
 
 
@@ -267,6 +267,20 @@ class TestExport:
         assert code == 0
         assert out == ""
         assert "digraph" in target.read_text()
+
+    def test_minimized_tree_over_export_cap(self, capsys, tmp_path):
+        # this (2,4) tree passes the cap; a tree cut short has no exact
+        # levels, so nothing is written and the one error line names the cap
+        target = tmp_path / "tree.dot"
+        code, out, err = run(
+            capsys,
+            "export", "--states", "2", "--neighborhood", "4", "--rule", "0100111010101001",
+            "--target", "minimized-tree", "--output", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: minimized tree exceeds {EXPORT_NODE_LIMIT} nodes\n"
+        assert not target.exists()
 
 
 class TestExitCodes:

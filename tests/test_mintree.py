@@ -1,6 +1,7 @@
 import json
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from revca import mintree
 from revca.classifier import classify, is_reversible_for
 from revca.mintree import (
-    Occurrences,
     build_minimized,
     dump_json,
     exact_occurrences,
@@ -41,18 +41,19 @@ def as_gamma(*sets, params=RuleParams(2, 3)):
     return node
 
 
-def paper_levels(occ):
+def paper_levels(levels):
     """The paper's level set of a node: [l] for one level, [a, a+period] for
     one progression."""
-    if not occ.anchors:
-        assert len(occ.sporadic) == 1, occ
-        return list(occ.sporadic)
-    assert not occ.sporadic and len(occ.anchors) == 1, occ
-    return [occ.anchors[0], occ.anchors[0] + occ.period]
+    loose, anchors = levels.chains
+    if not anchors:
+        assert len(loose) == 1, levels
+        return list(loose)
+    assert not loose and len(anchors) == 1, levels
+    return [anchors[0], anchors[0] + levels.period]
 
 
 def by_paper_levels(tree):
-    return {tuple(paper_levels(occ)): i for i, occ in enumerate(tree.occurrences)}
+    return {tuple(paper_levels(levels)): i for i, levels in enumerate(tree.occurrences)}
 
 
 # the construction-time level sets the build used to keep, with the period-1
@@ -147,7 +148,10 @@ def reference_build(rule, max_nodes, stop_on_violation):
 
 
 def reference_occurrences(tree):
-    """One Occurrences per node, each computed on its own."""
+    """(loose, anchors, period) of each node's levels, each computed on its
+    own: sporadic prefix levels, one anchor per residue class of the
+    smallest period the cycle positions are closed under, each anchor
+    lowered through the prefix levels of its class."""
     prefix, transient, period = level_sequence(tree)
     sporadic = [[] for _ in range(tree.unique_nodes)]
     residues = [set() for _ in range(tree.unique_nodes)]
@@ -161,7 +165,7 @@ def reference_occurrences(tree):
     for nid in range(tree.unique_nodes):
         res = residues[nid]
         if not res:
-            out.append(Occurrences(tuple(sporadic[nid]), (), 1))
+            out.append((tuple(sporadic[nid]), (), 1))
             continue
         g = period
         for cand in range(1, period + 1):
@@ -179,7 +183,7 @@ def reference_occurrences(tree):
                 a -= g
                 spor.remove(a)
             lowered.append(a)
-        out.append(Occurrences(tuple(sorted(spor)), tuple(sorted(lowered)), g))
+        out.append((tuple(sorted(spor)), tuple(sorted(lowered)), g))
     return out
 
 
@@ -217,7 +221,7 @@ class TestEca75Tree:
 
     def test_every_node_and_level_set(self):
         tree = build_minimized(eca(75))
-        got = {g: paper_levels(occ) for g, occ in zip(tree.gammas, tree.occurrences)}
+        got = {g: paper_levels(levels) for g, levels in zip(tree.gammas, tree.occurrences)}
         assert got == ECA75_TABLE
 
 
@@ -284,15 +288,15 @@ class TestOccurrence:
         full = build_full_tree(rule, 12)
         payload = tree_to_json(tree)
         for node, gamma in zip(payload["nodes"], tree.gammas):
-            occ = Occurrences(
-                tuple(node["levels"]["sporadic"]),
-                tuple(node["levels"]["anchors"]),
-                node["levels"]["period"],
-            )
+            levels = node["levels"]
             for level in range(12 - rule.params.m + 1):
+                exported = level in levels["sporadic"] or any(
+                    level >= a and (level - a) % levels["period"] == 0
+                    for a in levels["anchors"]
+                )
                 in_full = gamma in full.level_nodes[level]
-                assert in_full <= (level in occ), (value, node["id"], level)
-                assert gamma == 0 or in_full == (level in occ), (value, node["id"], level)
+                assert in_full <= exported, (value, node["id"], level)
+                assert gamma == 0 or in_full == exported, (value, node["id"], level)
 
     def test_period_1_level_set_was_wrong(self):
         # ECA 23's node 21 had the level set {4, 5}, "every level from 4 on",
@@ -480,8 +484,8 @@ class TestConstruction:
 
 class TestReconstruction:
     def test_grouped_occurrences_match_per_node(self):
-        # one Occurrences per distinct level pattern, equal node for node to
-        # the per-node computation
+        # one SizeSet per distinct level pattern, whose chains equal node for
+        # node the per-node computation
         rng = random.Random(31)
         rules = [eca(v) for v in range(256)]
         rules += [rule_from_decimal(rng.randrange(3**9), RuleParams(3, 2)) for _ in range(40)]
@@ -492,7 +496,10 @@ class TestReconstruction:
                 tree = build_minimized(rule, max_nodes=5000)
             except ValueError:
                 continue
-            assert exact_occurrences(tree) == reference_occurrences(tree), rule
+            shared = exact_occurrences(tree)
+            assert len({id(levels) for levels in shared}) == len(set(shared)), rule
+            got = [(*levels.chains, levels.period) for levels in shared]
+            assert got == reference_occurrences(tree), rule
 
     def test_intermediate_levels_are_predicted(self):
         # every node the full tree builds at an intermediate level must be a
@@ -572,3 +579,13 @@ class TestExports:
     def test_dot_deterministic(self):
         t = build_minimized(eca(105))
         assert export_minimized_dot(t) == export_minimized_dot(t)
+
+    def test_eca23_golden(self):
+        # both exports of ECA 23's 120-node tree, as written before node
+        # levels became SizeSets; node 21 sits at levels {4,5} ∪ 7+k
+        tree = build_minimized(eca(23))
+        golden = Path(__file__).parent / "golden"
+        dot = export_minimized_dot(tree)
+        assert dump_json(tree) == (golden / "eca23_minimized.json").read_text(encoding="utf-8")
+        assert dot == (golden / "eca23_minimized.dot").read_text(encoding="utf-8")
+        assert '21 [label="N21\\nlevels {4,5} ∪ 7+k"];' in dot
