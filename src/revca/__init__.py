@@ -20,8 +20,6 @@ from .classifier import (
     scan_violations,
 )
 from .debruijn import (
-    DeBruijnGraph,
-    build_graph,
     export_debruijn_dot,
     pair_trace_oracle,
     reversible_by_pair_graph,

@@ -5,9 +5,10 @@ balance shortcut settles unbalanced ones, and every other rule gets a
 minimized reachability tree whose nodes are checked against the per-level
 completeness conditions.  Violations become raw irreversibility expressions,
 arithmetic progressions (residue, modulus, smallest size) plus single sizes,
-whose union is the set of sizes the CA is irreversible for.  That set is held
-as one canonical SizeSet, from which membership, the class and the printed
-minimal expressions are all read.
+whose union is, from m on, the set of sizes the CA is irreversible for; below
+m it may miss irreversible sizes, and the brute-forced small-size table
+answers there.  That set is held as one canonical SizeSet, from which
+membership, the class and the printed minimal expressions are all read.
 
 Every classification is cross-checked against the pair-graph oracle on a
 window of sizes before it is returned; a disagreement raises
@@ -131,7 +132,10 @@ def classify(rule: Rule, verified_up_to: int = DEFAULT_ORACLE_WINDOW) -> Classif
 
     When a shortcut decided the class and the pair-graph walk would pass its
     memory limit, the cross-check is skipped and verified_up_to is 0.
+    A window of 0 skips the cross-check; a negative one is refused.
     """
+    if verified_up_to < 0:
+        raise ValueError(f"oracle window must be >= 0, got {verified_up_to}")
     p = rule.params
     small = {n: brute_force_reversible(rule, n) for n in range(1, p.m)}
     evidence: TreeEvidence | None = None

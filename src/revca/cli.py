@@ -21,12 +21,11 @@ from .classifier import (
     expressions_text,
     is_reversible_for,
 )
-from .debruijn import build_graph, export_debruijn_dot, pair_trace_oracle
+from .debruijn import export_debruijn_dot, pair_trace_oracle
 from .dynamics import brute_force_reversible, export_transition_diagram
 from .mintree import build_minimized, export_minimized_dot
 from .rulespace import (
     Rule,
-    RuleFormatError,
     RuleParams,
     minimal_decimal,
     rule_from_decimal,
@@ -268,7 +267,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     rule = _rule(args)
     if args.target == "debruijn":
-        text = export_debruijn_dot(build_graph(rule))
+        text = export_debruijn_dot(rule)
     elif args.target == "transition-diagram":
         if args.n is None:
             raise UsageError("--n is required for the transition diagram")
@@ -299,10 +298,7 @@ def main(argv: list[str] | None = None) -> int:
             mark = "" if a == b else "   <-- disagree"
             print(f"{n:<3}{str(a):<12}{str(b)}{mark}", file=sys.stderr)
         return 2
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (RuleFormatError, ValueError) as e:
+    except (UsageError, ValueError, OSError) as e:  # RuleFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:

@@ -1,7 +1,9 @@
-"""de Bruijn graph of a rule and the pair-graph reversibility oracle.
+"""DOT export of a rule's de Bruijn graph, and the pair-graph reversibility
+oracle.
 
-The graph has the d^(m-1) words of length m-1 as nodes and one edge per RMT
-(the word overlap a·x -> x·b carries RMT axb and its output).  Cycles of
+No graph object is built: both read the rule table.  The graph has the
+d^(m-1) words of length m-1 as nodes and one edge per RMT (the word
+overlap a·x -> x·b carries RMT axb and its output).  Cycles of
 length n correspond one-to-one with the RMT sequences of n-cell
 configurations, so the closed walks of length n in the pair graph (edges:
 RMT pairs with equal output) are the pairs (x, y) with G_n(x) = G_n(y).  For
@@ -14,59 +16,27 @@ on the eventually periodic walk state decides every n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .rulespace import Rule
+from .rulespace import Rule, tuple_of_rmt
 
 # walk state, cycle-detection copy and gather buffer together
 PAIR_GRAPH_BYTE_LIMIT = 1 << 28
 
 
-@dataclass(frozen=True)
-class DeBruijnEdge:
-    src: int
-    dst: int
-    rmt: int
-    output: int
+def export_debruijn_dot(rule: Rule) -> str:
+    """DOT text of the rule's de Bruijn graph, read from its table.
 
-
-@dataclass(frozen=True)
-class DeBruijnGraph:
-    rule: Rule
-    edges: tuple[DeBruijnEdge, ...]
-
-    @property
-    def node_count(self) -> int:
-        return self.rule.params.node_width
-
-    def node_word(self, node: int) -> str:
-        p = self.rule.params
-        digits = []
-        for _ in range(p.m - 1):
-            digits.append(str(node % p.d))
-            node //= p.d
-        return "".join(reversed(digits))
-
-
-def build_graph(rule: Rule) -> DeBruijnGraph:
-    """Graph with edge r: (r div d) -> (r mod d^(m-1)), labeled r / R[r]."""
-    width = rule.params.node_width
-    edges = tuple(
-        DeBruijnEdge(src=r // rule.params.d, dst=r % width, rmt=r, output=rule.table[r])
-        for r in range(rule.params.table_size)
-    )
-    return DeBruijnGraph(rule, edges)
-
-
-def export_debruijn_dot(graph: DeBruijnGraph) -> str:
-    """DOT text with nodes labeled by their word and edges by "rmt/output"."""
+    Node k is labeled by its word; edge r is (r div d) -> (r mod d^(m-1)),
+    labeled "r/R[r]", in ascending RMT order.
+    """
+    p = rule.params
     lines = ["digraph debruijn {"]
-    for node in range(graph.node_count):
-        lines.append(f'    {node} [label="{graph.node_word(node)}"];')
-    for e in graph.edges:  # ascending RMT order
-        lines.append(f'    {e.src} -> {e.dst} [label="{e.rmt}/{e.output}"];')
+    for node in range(p.node_width):
+        word = "".join(map(str, tuple_of_rmt(node, p)[1:]))
+        lines.append(f'    {node} [label="{word}"];')
+    for r, output in enumerate(rule.table):
+        lines.append(f'    {r // p.d} -> {r % p.node_width} [label="{r}/{output}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -16,8 +16,8 @@ The sum is produced in blocks of at most 2^12 consecutive codes, each block
 fixing the leading cells.  The brute-force oracle marks each block's
 successors in a d^n-byte presence bitmap and stops at the first successor
 already marked, so memory is the bitmap plus a few block-sized arrays,
-bounded by the configured limit (2^24 configurations by default) before
-anything is allocated.
+bounded by DEFAULT_BRUTE_LIMIT (2^24 configurations) before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -89,13 +89,14 @@ def shift(cells: Configuration, k: int = 1) -> Configuration:
     return cells[k:] + cells[:k]
 
 
-def _check_limit(rule: Rule, n: int, limit: int) -> int:
+def _check_limit(rule: Rule, n: int) -> int:
     if n < 1:
         raise ValueError(f"size must be >= 1, got {n}")
     total = rule.params.d**n
-    if total > limit:
+    if total > DEFAULT_BRUTE_LIMIT:
         raise ValueError(
-            f"{rule.params.d}^{n} = {total} configurations exceed the limit {limit}"
+            f"{rule.params.d}^{n} = {total} configurations exceed the limit "
+            f"{DEFAULT_BRUTE_LIMIT}"
         )
     return total
 
@@ -200,17 +201,17 @@ def _blocks(rule: Rule, n: int) -> Iterator[np.ndarray]:
         yield sum(parts[1:], parts[0]).reshape(-1)
 
 
-def successor_codes(rule: Rule, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> np.ndarray:
+def successor_codes(rule: Rule, n: int) -> np.ndarray:
     """Successor code of every configuration code 0..d^n-1.
 
     The broadcast sum of the n per-cell terms table[rmt_i] * d^(n-1-i),
     flattened: the blocks of `_blocks`, concatenated.
     """
-    _check_limit(rule, n, limit)
+    _check_limit(rule, n)
     return np.concatenate(list(_blocks(rule, n)))
 
 
-def brute_force_reversible(rule: Rule, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> bool:
+def brute_force_reversible(rule: Rule, n: int) -> bool:
     """True iff the global map on all d^n configurations is injective.
 
     On a finite set of equal size, surjectivity and injectivity coincide, so a
@@ -225,9 +226,9 @@ def brute_force_reversible(rule: Rule, n: int, limit: int = DEFAULT_BRUTE_LIMIT)
     fixes cell 0, so the two lie in different blocks.  With one block the
     final `seen.all()` catches a collision inside it.  Memory is the
     d^n-byte bitmap plus a few arrays of at most one block each, checked
-    against `limit` before anything is allocated.
+    against DEFAULT_BRUTE_LIMIT before anything is allocated.
     """
-    total = _check_limit(rule, n, limit)
+    total = _check_limit(rule, n)
     seen = np.zeros(total, dtype=bool)
     blocks = _blocks(rule, n)
     seen[next(blocks)] = True  # the first block finds nothing marked
@@ -238,29 +239,27 @@ def brute_force_reversible(rule: Rule, n: int, limit: int = DEFAULT_BRUTE_LIMIT)
     return bool(seen.all())
 
 
-def predecessors(
-    cells: Configuration, rule: Rule, limit: int = DEFAULT_BRUTE_LIMIT
-) -> list[Configuration]:
+def predecessors(cells: Configuration, rule: Rule) -> list[Configuration]:
     """All configurations that map to `cells`; empty iff `cells` is non-reachable."""
     n = len(cells)
     d = rule.params.d
-    succ = successor_codes(rule, n, limit)
+    succ = successor_codes(rule, n)
     target = config_to_code(cells, d)
     return [config_from_code(int(c), n, d) for c in np.nonzero(succ == target)[0]]
 
 
-def reachable_codes(rule: Rule, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> set[int]:
+def reachable_codes(rule: Rule, n: int) -> set[int]:
     """Codes of all configurations with at least one predecessor."""
-    return set(int(c) for c in np.unique(successor_codes(rule, n, limit)))
+    return set(int(c) for c in np.unique(successor_codes(rule, n)))
 
 
-def export_transition_diagram(rule: Rule, n: int, limit: int = DEFAULT_BRUTE_LIMIT) -> str:
+def export_transition_diagram(rule: Rule, n: int) -> str:
     """DOT digraph with one edge per configuration (decimal-coded) to its successor.
 
     Nodes and edges are emitted in ascending code order so output is stable
     for golden-file comparisons.
     """
-    succ = successor_codes(rule, n, limit)
+    succ = successor_codes(rule, n)
     lines = [f'digraph transitions {{']
     lines.append(f'    label="d={rule.params.d} m={rule.params.m} rule={rule} n={n}";')
     for code in range(len(succ)):

@@ -28,11 +28,17 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rtree import Gamma, child_node, gamma_rmts, node_sets, node_violates, root_node
+from .rtree import (
+    DEFAULT_TREE_LIMIT,
+    Gamma,
+    child_node,
+    gamma_rmts,
+    node_sets,
+    node_violates,
+    root_node,
+)
 from .rulespace import Rule
 from .sizeset import SizeSet
-
-DEFAULT_NODE_LIMIT = 1_000_000
 
 
 @dataclass
@@ -61,7 +67,7 @@ class _TriviallyIrreversible(Exception):
 
 def build_minimized(
     rule: Rule,
-    max_nodes: int = DEFAULT_NODE_LIMIT,
+    max_nodes: int = DEFAULT_TREE_LIMIT,
     stop_on_violation: bool = False,
 ) -> MinimizedTree:
     """Grow the tree until a whole level adds no new unique node.

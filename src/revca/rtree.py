@@ -31,6 +31,7 @@ from .rulespace import Rule, RuleParams, repeat_bits
 
 Gamma = int  # packed node: d^(m-1) slots of d^m bits, one RMT set per slot
 
+# nodes of a per-size tree, and the default cap of a minimized tree
 DEFAULT_TREE_LIMIT = 1_000_000
 
 
@@ -173,7 +174,7 @@ class FullTree:
     edge_sizes: list[set[int]]  # distinct edge RMT totals per source level
 
 
-def build_full_tree(rule: Rule, n: int, limit: int = DEFAULT_TREE_LIMIT) -> FullTree:
+def build_full_tree(rule: Rule, n: int) -> FullTree:
     """Build all n+1 levels, deduplicating equal nodes within a level.
 
     Empty edges are recorded (they decide completeness and the Theorem-style
@@ -205,8 +206,8 @@ def build_full_tree(rule: Rule, n: int, limit: int = DEFAULT_TREE_LIMIT) -> Full
                     child = restrict_special(child, iota, p)
                 nxt[child] = nxt.get(child, 0) + count
         seen += len(nxt)
-        if seen > limit:
-            raise ValueError(f"tree exceeds the node limit {limit}")
+        if seen > DEFAULT_TREE_LIMIT:
+            raise ValueError(f"tree exceeds the node limit {DEFAULT_TREE_LIMIT}")
         edge_sizes.append(sizes)
         levels.append(nxt)
     leaf_count = sum(levels[n].values())
@@ -231,8 +232,8 @@ def edge_counts_ok(tree: FullTree) -> bool:
     return True
 
 
-def reversible_for_n_by_tree(rule: Rule, n: int, limit: int = DEFAULT_TREE_LIMIT) -> bool:
+def reversible_for_n_by_tree(rule: Rule, n: int) -> bool:
     """Per-size reversibility from tree completeness (requires n >= m)."""
     if n < rule.params.m:
         raise ValueError(f"tree decision needs n >= m = {rule.params.m}, got {n}")
-    return build_full_tree(rule, n, limit).complete
+    return build_full_tree(rule, n).complete

@@ -243,6 +243,11 @@ class TestClassify:
         assert c.expressions == (IrreversibilityExpression.segment(2),)
         assert c.evidence is None
 
+    def test_rejects_negative_oracle_window(self):
+        with pytest.raises(ValueError, match="oracle window must be >= 0, got -1"):
+            classify(eca(75), verified_up_to=-1)
+        assert classify(eca(75), verified_up_to=0).verified_up_to == 0
+
     def test_strict_covers_everything(self):
         c = classify(eca(90))
         assert all(not is_reversible_for(c, n) for n in range(1, 30))
@@ -346,6 +351,28 @@ class TestClassProperties:
             if c.ca_class is CAClass.REVERSIBLE:
                 assert not c.expressions and not c.sporadic_irreversible
                 assert all(c.small_n_reversible.values())
+
+    def test_expressions_below_m_name_only_irreversible_sizes(self):
+        # below m the brute-forced table answers; the expressions may name
+        # some of its irreversible sizes, never a reversible one
+        rng = random.Random(12)
+        families = [
+            (RuleParams(2, 3), range(2**8)),
+            (RuleParams(3, 2), range(3**9)),
+            (RuleParams(2, 4), rng.sample(range(2**16), 2000)),
+        ]
+        for params, values in families:
+            for value in values:
+                c = classify(rule_from_decimal(value, params), verified_up_to=0)
+                named = {n for n in range(1, params.m) if n in c.irreversible}
+                assert named <= {n for n, ok in c.small_n_reversible.items() if not ok}
+        # both rules are irreversible exactly at 3 | n, but only the first
+        # names n = 3
+        params = RuleParams(2, 4)
+        for text, named in (("0000001011111101", True), ("0000100011110111", False)):
+            c = classify(parse_rule(text, params))
+            assert not c.small_n_reversible[3]
+            assert (3 in c.irreversible) is named
 
     def test_split_invariance(self):
         # the classification never depends on the left/right anchor split

@@ -69,6 +69,16 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--states", "2")
         assert code == 1
 
+    def test_negative_oracle_window_exits_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            "classify", "--states", "2", "--neighborhood", "3", "--rule", "75",
+            "--verified-up-to", "-5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: oracle window must be >= 0, got -5\n"
+
     def test_deterministic_output(self, capsys):
         args = ("classify", "--states", "2", "--neighborhood", "3", "--rule", "105",
                 "--format", "json")
@@ -281,6 +291,19 @@ class TestExport:
         assert out == ""
         assert err == f"error: minimized tree exceeds {EXPORT_NODE_LIMIT} nodes\n"
         assert not target.exists()
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, where):
+        target = tmp_path / "missing" / "x.dot" if where == "missing-dir" else tmp_path
+        code, out, err = run(
+            capsys,
+            "export", "--states", "2", "--neighborhood", "3", "--rule", "75",
+            "--target", "debruijn", "--output", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from revca.debruijn import (
     PAIR_GRAPH_BYTE_LIMIT,
     _PairWalk,
     _walk_bytes,
-    build_graph,
     export_debruijn_dot,
     pair_trace_oracle,
     reversible_by_pair_graph,
@@ -111,49 +111,64 @@ def circulant_reversible(coeffs: tuple[int, ...], p: int, n: int) -> bool:
     return len(b) == 1
 
 
+_EDGE_LINE = re.compile(r'\s*(\d+) -> (\d+) \[label="(\d+)/(\d+)"\];')
+_NODE_LINE = re.compile(r'\s*\d+ \[label="\d*"\];')
+
+
+def dot_edges(rule: Rule) -> list[tuple[int, int, int, int]]:
+    """(src, dst, rmt, output) of each edge line of the rule's DOT export, in order."""
+    lines = export_debruijn_dot(rule).splitlines()
+    return [tuple(map(int, m.groups())) for m in map(_EDGE_LINE.fullmatch, lines) if m]
+
+
+def dot_node_count(rule: Rule) -> int:
+    lines = export_debruijn_dot(rule).splitlines()
+    return sum(1 for line in lines if _NODE_LINE.fullmatch(line))
+
+
 class TestGraphShape:
     def test_counts_3state(self):
-        g = build_graph(rule33(FIG2_RULE))
-        assert g.node_count == 9
-        assert len(g.edges) == 27
+        rule = rule33(FIG2_RULE)
+        assert dot_node_count(rule) == 9
+        assert len(dot_edges(rule)) == 27
 
     def test_counts_2state_2neighbor(self):
-        g = build_graph(parse_rule("0110", RuleParams(2, 2)))
-        assert g.node_count == 2
-        assert len(g.edges) == 4
+        rule = parse_rule("0110", RuleParams(2, 2))
+        assert dot_node_count(rule) == 2
+        assert len(dot_edges(rule)) == 4
 
     @given(rules)
     @settings(max_examples=20, deadline=None)
     def test_regular_degrees(self, rule):
-        g = build_graph(rule)
-        outs = [0] * g.node_count
-        ins = [0] * g.node_count
-        for e in g.edges:
-            outs[e.src] += 1
-            ins[e.dst] += 1
+        count = dot_node_count(rule)
+        outs = [0] * count
+        ins = [0] * count
+        for src, dst, _, _ in dot_edges(rule):
+            outs[src] += 1
+            ins[dst] += 1
         assert set(outs) == {rule.params.d}
         assert set(ins) == {rule.params.d}
 
     def test_rmt_sequence_is_cycle(self):
         # the configuration 1021 walks a length-4 cycle through the graph
         rule = rule33(FIG2_RULE)
-        g = build_graph(rule)
-        by_rmt = {e.rmt: e for e in g.edges}
+        by_rmt = {rmt: (src, dst) for src, dst, rmt, _ in dot_edges(rule)}
         seq = rmt_sequence((1, 0, 2, 1), rule)
         assert seq == (12, 11, 7, 22)
         for i, r in enumerate(seq):
-            nxt = by_rmt[seq[(i + 1) % len(seq)]]
-            assert by_rmt[r].dst == nxt.src
+            _, dst = by_rmt[r]
+            src, _ = by_rmt[seq[(i + 1) % len(seq)]]
+            assert dst == src
 
     def test_closed_walk_count_is_configuration_count(self):
-        # adjacency built independently from the edge list
+        # adjacency built independently from the exported edge list
         for text, params in [(FIG2_RULE, RuleParams(3, 3)), ("01011010", RuleParams(2, 3))]:
             rule = parse_rule(text, params)
-            g = build_graph(rule)
-            adj = np.zeros((g.node_count, g.node_count), dtype=object)
-            for e in g.edges:
-                adj[e.src][e.dst] += 1
-            power = np.eye(g.node_count, dtype=object)
+            count = dot_node_count(rule)
+            adj = np.zeros((count, count), dtype=object)
+            for src, dst, _, _ in dot_edges(rule):
+                adj[src][dst] += 1
+            power = np.eye(count, dtype=object)
             for n in range(1, 9):
                 power = power @ adj
                 assert int(np.trace(power)) == params.d**n
@@ -252,28 +267,35 @@ class TestWalkMemory:
 
 class TestDot:
     def test_small_graph_edges(self):
-        dot = export_debruijn_dot(build_graph(parse_rule("0110", RuleParams(2, 2))))
+        dot = export_debruijn_dot(parse_rule("0110", RuleParams(2, 2)))
         assert dot.count("->") == 4
 
     def test_fig2_labels_match_rule(self):
         rule = rule33(FIG2_RULE)
-        dot = export_debruijn_dot(build_graph(rule))
+        dot = export_debruijn_dot(rule)
         labels = re.findall(r'label="(\d+)/(\d+)"', dot)
         assert len(labels) == 27
         for rmt, out in labels:
             assert rule.table[int(rmt)] == int(out)
 
     def test_round_trip_recovers_edges(self):
+        # edge r: (r div d) -> (r mod d^(m-1)), labeled r / R[r], in RMT order
         rule = eca(110)
-        g = build_graph(rule)
-        dot = export_debruijn_dot(g)
-        parsed = set()
-        for line in dot.splitlines():
-            m = re.match(r'\s*(\d+) -> (\d+) \[label="(\d+)/(\d+)"\];', line)
-            if m:
-                parsed.add(tuple(int(x) for x in m.groups()))
-        assert parsed == {(e.src, e.dst, e.rmt, e.output) for e in g.edges}
+        assert dot_edges(rule) == [(r // 2, r % 4, r, rule.table[r]) for r in range(8)]
 
     def test_deterministic(self):
-        g = build_graph(eca(30))
-        assert export_debruijn_dot(g) == export_debruijn_dot(g)
+        rule = eca(30)
+        assert export_debruijn_dot(rule) == export_debruijn_dot(rule)
+
+    @pytest.mark.parametrize(
+        "name, rule",
+        [
+            ("eca110", eca(110)),
+            ("fig2", rule33(FIG2_RULE)),
+            # two-digit states in node words and edge labels
+            ("d11m2", Rule(RuleParams(11, 2), tuple((r // 11 + r) % 11 for r in range(121)))),
+        ],
+    )
+    def test_golden(self, name, rule):
+        golden = Path(__file__).parent / "golden" / f"{name}_debruijn.dot"
+        assert export_debruijn_dot(rule) == golden.read_text(encoding="utf-8")

@@ -138,8 +138,9 @@ class TestPredecessors:
         assert predecessors((1, 0, 1), eca(204)) == [(1, 0, 1)]
 
     def test_limit_enforced(self):
+        # 2^25 configurations: refused before anything is allocated
         with pytest.raises(ValueError, match="exceed"):
-            predecessors((0,) * 10, eca(30), limit=100)
+            predecessors((0,) * 25, eca(30))
 
     def test_empty_configuration_rejected(self):
         with pytest.raises(ValueError, match="size must be >= 1, got 0"):

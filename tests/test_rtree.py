@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revca import rtree
 from revca.dynamics import brute_force_reversible, reachable_codes
 from revca.rulespace import Rule, RuleParams, parse_rule, rule_from_decimal, sibling_set
 from revca.rtree import (
@@ -242,9 +243,10 @@ class TestFullTree:
                 tree = build_full_tree(rule, n)
                 assert tree.leaf_count == len(reachable_codes(rule, n))
 
-    def test_node_limit(self):
+    def test_node_limit(self, monkeypatch):
+        monkeypatch.setattr(rtree, "DEFAULT_TREE_LIMIT", 3)
         with pytest.raises(ValueError, match="node limit"):
-            build_full_tree(eca(51), 6, limit=3)
+            build_full_tree(eca(51), 6)
 
 
 class TestTreeDecision:
