@@ -18,6 +18,7 @@ from .classifier import (
     is_reversible_for,
     reversible_sizes,
     scan_violations,
+    walk_violations,
 )
 from .debruijn import (
     export_debruijn_dot,
@@ -61,7 +62,6 @@ from .rtree import (
     build_full_tree,
     child_node,
     restrict_special,
-    reversible_for_n_by_tree,
     root_node,
 )
 

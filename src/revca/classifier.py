@@ -2,13 +2,11 @@
 
 Pipeline: the constant-RMT shortcut settles strictly irreversible rules, the
 balance shortcut settles unbalanced ones, and every other rule gets a
-minimized reachability tree whose nodes are checked against the per-level
-completeness conditions.  Violations become raw irreversibility expressions,
-arithmetic progressions (residue, modulus, smallest size) plus single sizes,
-whose union is, from m on, the set of sizes the CA is irreversible for; below
-m it may miss irreversible sizes, and the brute-forced small-size table
-answers there.  That set is held as one canonical SizeSet, from which
-membership, the class and the printed minimal expressions are all read.
+minimized reachability tree.  One placement rule turns its nodes' condition
+failures into irreversible sizes, read on a full tree from each node's exact
+levels (`scan_violations`) and below an early stop's horizon from one walk
+over the unrolled levels (`walk_violations`).  The result is one canonical
+SizeSet, exact from m on (the brute-forced small-size table answers below m).
 
 Every classification is cross-checked against the pair-graph oracle on a
 window of sizes before it is returned; a disagreement raises
@@ -19,16 +17,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
 from .debruijn import pair_graph_fits, reversible_by_pair_graph
 from .dynamics import brute_force_reversible
 from .mintree import MinimizedTree, build_minimized, exact_occurrences
 from .rulespace import Rule, is_balanced_rule, is_strictly_irreversible, wolfram_decimal
-from .rtree import node_violates, reversible_for_n_by_tree
+from .rtree import DEFAULT_TREE_LIMIT, child_node, node_violates, root_node
 from .sizeset import IrreversibilityExpression, SizeSet
 
 DEFAULT_ORACLE_WINDOW = 24
+MAX_ORACLE_WINDOW = 1 << 20  # the cross-check holds two lists of this many verdicts
 
 
 class CAClass(enum.Enum):
@@ -38,50 +38,64 @@ class CAClass(enum.Enum):
     NON_TRIVIALLY_SEMI_REVERSIBLE = "NonTriviallySemiReversible"
 
 
-def scan_violations(
-    tree: MinimizedTree, rule: Rule
-) -> tuple[list[IrreversibilityExpression], list[int]]:
-    """Raw progressions and single sizes ruled out by per-node condition failures.
+def scan_violations(tree: MinimizedTree, rule: Rule) -> SizeSet:
+    """Sizes ruled out by node condition failures on a fully built tree, at
+    the placements that each node's exact levels give.
 
-    Placements come from the exact occurrence levels of each node (the level
-    sequence of the unrolled tree is eventually periodic, so every node's
-    levels are finitely many loose values plus arithmetic progressions).
-
-    Intermediate placements (the node sits at least m levels above the
-    leaves) require d^m RMTs and balance; a failure rules out every
-    n >= min_level + m.  Special placements at level n-iota check the
-    level-restricted node against d^iota RMTs and balance; a failure rules
-    out n = level + iota for every occurrence level, i.e. one progression
-    per anchor plus single sizes for loose levels (sizes below m are
-    owned by the brute-forced small-size table and dropped).
-
-    Nodes at the same levels share one level set, and each distinct
-    (level set, failed placements) pair is emitted once, so both lists are
-    sorted and free of duplicates.
+    A failure at iota 0 (intermediate level: d^m RMTs, balanced) rules out
+    every n >= min_level + m; one at 1 <= iota < m (level n-iota, restricted
+    node: d^iota RMTs, balanced) rules out n = level + iota, below m only
+    for a level on a progression of the node's levels.
     """
     p = rule.params
-    failing: dict[tuple[int, int], SizeSet] = {}  # (id(levels), iota bits) -> levels
+    failing: dict[tuple[int, int], SizeSet] = {}  # one entry per (id(levels), iota bits)
     for gamma, levels in zip(tree.gammas, exact_occurrences(tree)):
-        failed = 0
-        for iota in range(p.m):
-            if node_violates(gamma, iota, rule):
-                failed |= 1 << iota
+        failed = sum(node_violates(gamma, iota, rule) << iota for iota in range(p.m))
         if failed:
             failing[id(levels), failed] = levels
-    progressions: set[tuple[int, int]] = set()  # (min_n, modulus)
-    sizes: set[int] = set()
-    for (_, failed), levels in failing.items():
-        loose, anchors = levels.chains
-        if failed & 1:
-            progressions.add((min(loose + anchors) + p.m, 1))
-        for iota in range(1, p.m):
-            if failed >> iota & 1:
-                progressions.update((anchor + iota, levels.period) for anchor in anchors)
-                sizes.update(level + iota for level in loose if level + iota >= p.m)
-    return (
-        [IrreversibilityExpression.progression(n, q) for n, q in sorted(progressions)],
-        sorted(sizes),
+
+    def member(n: int) -> bool:
+        return any(
+            failed & 1 and n >= min(sum(levels.chains, ())) + p.m
+            or any(
+                failed >> iota & 1
+                and n - iota in levels
+                and (n >= p.m or n - iota not in levels.chains[0])
+                for iota in range(1, p.m)
+            )
+            for (_, failed), levels in failing.items()
+        )
+
+    return SizeSet.periodic(
+        member,
+        max((levels.start + levels.period + p.m for levels in failing.values()), default=0),
+        lcm(*(levels.period for levels in failing.values())),
     )
+
+
+def walk_violations(rule: Rule, horizon: int) -> SizeSet:
+    """Irreversible sizes of a rule known irreversible for every n >= horizon.
+
+    The sizes m <= n < horizon follow the scan's placement rule, read from
+    one walk over levels 0..horizon-2 of the unrolled tree: a level-t node
+    failing at iota 0 rules out every n >= t+m, one failing at iota >= 1
+    rules out n = t+iota.  Each level is checked only at the placements
+    that can name a size not yet ruled out.
+    """
+    p = rule.params
+    todo = set(range(p.m, horizon))  # sizes not yet ruled out
+    level = {root_node(p)}
+    for t in range(horizon - 1):
+        for gamma in level:
+            if max(todo, default=0) >= t + p.m and node_violates(gamma, 0, rule):
+                todo = {n for n in todo if n < t + p.m}
+            todo -= {n for n in todo if t < n < t + p.m and node_violates(gamma, n - t, rule)}
+        if max(todo, default=0) <= t + 1:
+            break
+        level = {child_node(gamma, x, rule) for gamma in level for x in range(p.d)}
+        if len(level) > DEFAULT_TREE_LIMIT:
+            raise ValueError(f"unrolled tree level {t + 1} exceeds {DEFAULT_TREE_LIMIT} nodes")
+    return SizeSet.periodic(lambda n: n >= horizon or (n >= p.m and n not in todo), horizon, 1)
 
 
 @dataclass(frozen=True)
@@ -132,10 +146,12 @@ def classify(rule: Rule, verified_up_to: int = DEFAULT_ORACLE_WINDOW) -> Classif
 
     When a shortcut decided the class and the pair-graph walk would pass its
     memory limit, the cross-check is skipped and verified_up_to is 0.
-    A window of 0 skips the cross-check; a negative one is refused.
+    A window of 0 skips the cross-check; one outside [0, MAX_ORACLE_WINDOW]
+    is refused.
     """
-    if verified_up_to < 0:
-        raise ValueError(f"oracle window must be >= 0, got {verified_up_to}")
+    if not 0 <= verified_up_to <= MAX_ORACLE_WINDOW:
+        bound = ">= 0" if verified_up_to < 0 else f"<= {MAX_ORACLE_WINDOW}"
+        raise ValueError(f"oracle window must be {bound}, got {verified_up_to}")
     p = rule.params
     small = {n: brute_force_reversible(rule, n) for n in range(1, p.m)}
     evidence: TreeEvidence | None = None
@@ -149,17 +165,10 @@ def classify(rule: Rule, verified_up_to: int = DEFAULT_ORACLE_WINDOW) -> Classif
     else:
         tree = build_minimized(rule, stop_on_violation=True)
         evidence = TreeEvidence(unique_nodes=tree.unique_nodes, height=tree.height)
-        if tree.stopped_at is not None:
-            # a violation during construction proves irreversibility for the
-            # whole tail n >= stop_horizon; the finitely many sizes below are
-            # decided exactly on their own reachability trees
-            horizon = tree.stop_horizon
-            irreversible = SizeSet.of(
-                [IrreversibilityExpression.segment(horizon)],
-                [n for n in range(p.m, horizon) if not reversible_for_n_by_tree(rule, n)],
-            )
+        if tree.stopped_at is None:
+            irreversible = scan_violations(tree, rule)
         else:
-            irreversible = SizeSet.of(*scan_violations(tree, rule))
+            irreversible = walk_violations(rule, tree.stop_horizon)
         if not irreversible and all(small.values()):
             ca_class = CAClass.REVERSIBLE
         elif irreversible.cofinite:

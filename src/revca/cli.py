@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable
 
 from .classifier import (
     DEFAULT_ORACLE_WINDOW,
@@ -35,9 +34,6 @@ from .rulespace import (
 
 ENUMERATE_FREE_BUDGET = 256
 ENUMERATE_HARD_LIMIT = 65536
-# above the largest (2,4) tree (40,320 nodes); a tree cut at the cap has no
-# exact levels, so the export fails rather than print part of it
-EXPORT_NODE_LIMIT = 100_000
 
 _CLASS_WORDS = {
     CAClass.REVERSIBLE: "Reversible",
@@ -273,7 +269,7 @@ def cmd_export(args: argparse.Namespace) -> int:
             raise UsageError("--n is required for the transition diagram")
         text = export_transition_diagram(rule, args.n)
     else:
-        text = export_minimized_dot(build_minimized(rule, max_nodes=EXPORT_NODE_LIMIT))
+        text = export_minimized_dot(build_minimized(rule))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -40,6 +40,10 @@ from .rtree import (
 from .rulespace import Rule
 from .sizeset import SizeSet
 
+# nodes of a fully built tree, above the largest (2,4) tree (40,320); a tree
+# cut at the cap has no exact levels, so the build fails rather than return it
+FULL_TREE_LIMIT = 100_000
+
 
 @dataclass
 class MinimizedTree:
@@ -65,11 +69,7 @@ class _TriviallyIrreversible(Exception):
         self.horizon = horizon
 
 
-def build_minimized(
-    rule: Rule,
-    max_nodes: int = DEFAULT_TREE_LIMIT,
-    stop_on_violation: bool = False,
-) -> MinimizedTree:
+def build_minimized(rule: Rule, stop_on_violation: bool = False) -> MinimizedTree:
     """Grow the tree until a whole level adds no new unique node.
 
     With `stop_on_violation`, construction halts as soon as a violation
@@ -87,6 +87,7 @@ def build_minimized(
     irreversibility tail.
     """
     p = rule.params
+    max_nodes = DEFAULT_TREE_LIMIT if stop_on_violation else FULL_TREE_LIMIT
     root = root_node(p)
     ids: dict[Gamma, int] = {root: 0}
     gammas: list[Gamma] = [root]

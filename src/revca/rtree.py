@@ -31,7 +31,7 @@ from .rulespace import Rule, RuleParams, repeat_bits
 
 Gamma = int  # packed node: d^(m-1) slots of d^m bits, one RMT set per slot
 
-# nodes of a per-size tree, and the default cap of a minimized tree
+# nodes of a per-size tree, of an early-stopping minimized tree, or of one walk level
 DEFAULT_TREE_LIMIT = 1_000_000
 
 
@@ -231,9 +231,3 @@ def edge_counts_ok(tree: FullTree) -> bool:
             return False
     return True
 
-
-def reversible_for_n_by_tree(rule: Rule, n: int) -> bool:
-    """Per-size reversibility from tree completeness (requires n >= m)."""
-    if n < rule.params.m:
-        raise ValueError(f"tree decision needs n >= m = {rule.params.m}, got {n}")
-    return build_full_tree(rule, n).complete

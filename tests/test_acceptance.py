@@ -35,7 +35,7 @@ from revca.rulespace import (
     parse_rule,
     rule_from_decimal,
 )
-from revca.rtree import build_full_tree, edge_counts_ok, reversible_for_n_by_tree
+from revca.rtree import build_full_tree, edge_counts_ok
 
 from conftest import FIG2_RULE, FIG3B_RULE, eca, rule33
 
@@ -271,7 +271,7 @@ def test_acceptance_7_theorem_invariants(capsys):
             continue
         count += 1
         for n in range(3, 11):
-            assert not reversible_for_n_by_tree(rule, n), (value, n)
+            assert not build_full_tree(rule, n).complete, (value, n)
     assert count > 0
     announce(
         capsys,

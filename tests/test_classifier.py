@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revca import classifier
 from revca.classifier import (
     CAClass,
     IrreversibilityExpression,
@@ -14,11 +15,12 @@ from revca.classifier import (
     is_reversible_for,
     reversible_sizes,
     scan_violations,
+    walk_violations,
 )
 from revca.debruijn import reversible_by_pair_graph
 from revca.dynamics import brute_force_reversible
 from revca.mintree import build_minimized, exact_occurrences
-from revca.rtree import node_violates
+from revca.rtree import build_full_tree, node_violates
 from revca.rulespace import (
     Rule,
     RuleParams,
@@ -184,34 +186,30 @@ class TestNormalization:
 class TestScan:
     def test_eca75(self):
         rule = eca(75)
-        raw = scan_violations(build_minimized(rule), rule)
-        assert canonical(*raw)[0] == (expr(2, 2),)
+        assert scan_violations(build_minimized(rule), rule).expressions == (expr(2, 2),)
 
     def test_reversible_rule_scans_clean(self):
         rule = parse_rule("1010101010101010", RuleParams(2, 4))
-        assert scan_violations(build_minimized(rule), rule) == ([], [])
+        assert scan_violations(build_minimized(rule), rule) == SizeSet.of()
 
     def test_eca150(self):
         rule = eca(150)
-        raw = scan_violations(build_minimized(rule), rule)
-        assert canonical(*raw)[0] == (expr(3, 3),)
+        assert scan_violations(build_minimized(rule), rule).expressions == (expr(3, 3),)
 
     @pytest.mark.parametrize(
         "rule",
         [eca(23), eca(75), rule33("012210210102012102210210012")],
         ids=["eca23", "eca75", "height19"],
     )
-    def test_raw_output_has_no_duplicates(self, rule):
+    def test_matches_undeduplicated_scan(self, rule):
         tree = build_minimized(rule)
-        progressions, sizes = scan_violations(tree, rule)
-        assert len(set(progressions)) == len(progressions)
-        assert len(set(sizes)) == len(sizes)
-        assert SizeSet.of(progressions, sizes) == SizeSet.of(*undeduplicated_scan(tree, rule))
+        assert scan_violations(tree, rule) == SizeSet.of(*undeduplicated_scan(tree, rule))
 
 
 def undeduplicated_scan(tree, rule):
     """One raw progression per node, iota and anchor, one size per sporadic
-    occurrence: the scan's output before duplicates were dropped."""
+    occurrence: the scan as raw lists, before duplicates were dropped and
+    before it built its SizeSet from one membership test."""
     p = rule.params
     progressions, sizes = [], []
     for gamma, levels in zip(tree.gammas, exact_occurrences(tree)):
@@ -223,6 +221,82 @@ def undeduplicated_scan(tree, rule):
                 progressions.extend(expr(a + iota, levels.period) for a in anchors)
                 sizes.extend(lv + iota for lv in loose if lv + iota >= p.m)
     return progressions, sizes
+
+
+# tree_panel's early-stopping rules, (d, m, rule)
+EARLY_STOP_PANEL = (
+    (2, 5, "10001101011000010111001010011110"),
+    (3, 3, "001201210220120102112012021"),
+    (3, 3, "202021112121210001010102220"),
+    (3, 3, "011022201200211120122100012"),
+    (3, 3, "101201122020120011212012200"),
+    (3, 3, "201112020120001212012220101"),
+    (2, 4, "1001001101101100"),
+    (2, 4, "1010011101011000"),
+    (2, 4, "0001101011100101"),
+    (2, 4, "1110010100011010"),
+)
+
+
+def balanced_rule(rng, d, m):
+    p = RuleParams(d, m)
+    table = [x for x in range(d) for _ in range(p.table_size // d)]
+    rng.shuffle(table)
+    return Rule(p, tuple(table))
+
+
+def assert_walk_matches_full_trees(rule):
+    """The walk's sizes equal the per-size trees' verdicts below the horizon.
+
+    Returns False when the rule does not stop early."""
+    tree = build_minimized(rule, stop_on_violation=True)
+    if tree.stop_horizon is None:
+        return False
+    horizon = tree.stop_horizon
+    sizes = walk_violations(rule, horizon)
+    for n in range(rule.params.m, horizon):
+        assert (n in sizes) == (not build_full_tree(rule, n).complete), (rule, n)
+    assert all(n in sizes for n in range(horizon, horizon + 8)), rule
+    assert all((n in sizes) == (n >= horizon) for n in range(rule.params.m)), rule
+    return True
+
+
+class TestWalk:
+    @pytest.mark.parametrize(
+        "d,m,text", EARLY_STOP_PANEL, ids=[text for *_, text in EARLY_STOP_PANEL]
+    )
+    def test_matches_full_trees_on_panel(self, d, m, text):
+        assert assert_walk_matches_full_trees(parse_rule(text, RuleParams(d, m)))
+
+    @pytest.mark.parametrize("d,m", [(2, 4), (3, 3), (2, 5), (4, 2)])
+    def test_matches_full_trees_on_seeded_sample(self, d, m):
+        rng = random.Random(100 * d + m)
+        stopped = 0
+        while stopped < 25:
+            stopped += assert_walk_matches_full_trees(balanced_rule(rng, d, m))
+
+    @pytest.mark.long
+    def test_long_matches_full_trees_on_whole_families(self):
+        stopped = 0
+        for d, m in ((2, 3), (3, 2), (2, 4)):
+            p = RuleParams(d, m)
+            for value in range(d**p.table_size):
+                stopped += assert_walk_matches_full_trees(rule_from_decimal(value, p))
+        assert stopped > 0
+
+    def test_level_limit(self, monkeypatch):
+        # (3,3) 001201210220120102112012021 stops at horizon 10; its walk
+        # passes 50 nodes on one level well before that
+        rule = rule33("001201210220120102112012021")
+        monkeypatch.setattr(classifier, "DEFAULT_TREE_LIMIT", 50)
+        with pytest.raises(ValueError, match="unrolled tree level .* exceeds 50 nodes"):
+            walk_violations(rule, 10)
+
+    def test_small_horizon(self):
+        # a horizon at or below m leaves nothing to walk
+        segment = IrreversibilityExpression.segment
+        assert walk_violations(eca(75), 1) == SizeSet.of([segment(1)])
+        assert walk_violations(eca(75), 3) == SizeSet.of([segment(3)])
 
 
 class TestClassify:
@@ -247,6 +321,17 @@ class TestClassify:
         with pytest.raises(ValueError, match="oracle window must be >= 0, got -1"):
             classify(eca(75), verified_up_to=-1)
         assert classify(eca(75), verified_up_to=0).verified_up_to == 0
+
+    def test_rejects_oracle_window_past_cap(self, monkeypatch):
+        # refused before any work: not even the small sizes are brute-forced
+        def unreachable(*args):
+            raise AssertionError("classify did work before checking the window")
+
+        monkeypatch.setattr(classifier, "brute_force_reversible", unreachable)
+        window = classifier.MAX_ORACLE_WINDOW
+        message = f"oracle window must be <= {window}, got {window + 1}"
+        with pytest.raises(ValueError, match=message):
+            classify(eca(75), verified_up_to=window + 1)
 
     def test_strict_covers_everything(self):
         c = classify(eca(90))

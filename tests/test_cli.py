@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import revca
-from revca.classifier import OracleMismatchError, classify
-from revca.cli import EXPORT_NODE_LIMIT, main
+from revca.classifier import MAX_ORACLE_WINDOW, OracleMismatchError, classify
+from revca.cli import main
+from revca.mintree import FULL_TREE_LIMIT
 from revca.rulespace import RuleParams, rule_from_decimal
 
 
@@ -78,6 +79,17 @@ class TestClassify:
         assert code == 1
         assert out == ""
         assert err == "error: oracle window must be >= 0, got -5\n"
+
+    def test_oracle_window_past_cap_exits_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            "classify", "--states", "2", "--neighborhood", "3", "--rule", "75",
+            "--verified-up-to", str(MAX_ORACLE_WINDOW + 1),
+        )
+        assert code == 1
+        assert out == ""
+        window = MAX_ORACLE_WINDOW
+        assert err == f"error: oracle window must be <= {window}, got {window + 1}\n"
 
     def test_deterministic_output(self, capsys):
         args = ("classify", "--states", "2", "--neighborhood", "3", "--rule", "105",
@@ -186,6 +198,17 @@ class TestEnumerate:
         assert payload["count"] == 256
         assert [row["decimal"] for row in payload["rules"]] == list(range(256))
 
+    def test_eca_census_golden(self, capsys):
+        # the whole ECA census as JSON, written before the early-stop sizes
+        # were read from one level walk
+        code, out, _ = run(
+            capsys,
+            "enumerate", "--states", "2", "--neighborhood", "3", "--format", "json",
+        )
+        assert code == 0
+        golden = Path(__file__).parent / "golden" / "eca_enumerate.json"
+        assert out == golden.read_text(encoding="utf-8")
+
     def test_filter_reversible(self, capsys):
         code, out, _ = run(
             capsys,
@@ -289,7 +312,7 @@ class TestExport:
         )
         assert code == 1
         assert out == ""
-        assert err == f"error: minimized tree exceeds {EXPORT_NODE_LIMIT} nodes\n"
+        assert err == f"error: minimized tree exceeds {FULL_TREE_LIMIT} nodes\n"
         assert not target.exists()
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])

@@ -25,7 +25,6 @@ from revca.rtree import (
     child_node,
     gamma_rmts,
     node_violates,
-    reversible_for_n_by_tree,
     root_node,
 )
 
@@ -366,9 +365,15 @@ class TestConstruction:
         assert a.children == b.children
         assert a.occurrences == b.occurrences
 
-    def test_node_limit(self):
-        with pytest.raises(ValueError, match="nodes"):
-            build_minimized(eca(75), max_nodes=5)
+    def test_node_limit(self, monkeypatch):
+        # each build mode has its own cap
+        monkeypatch.setattr(mintree, "FULL_TREE_LIMIT", 5)
+        with pytest.raises(ValueError, match="exceeds 5 nodes"):
+            build_minimized(eca(75))
+        assert build_minimized(eca(75), stop_on_violation=True).unique_nodes == 21
+        monkeypatch.setattr(mintree, "DEFAULT_TREE_LIMIT", 5)
+        with pytest.raises(ValueError, match="exceeds 5 nodes"):
+            build_minimized(eca(75), stop_on_violation=True)
 
     def test_strictly_irreversible_rule_still_builds(self):
         tree = build_minimized(eca(0))
@@ -426,8 +431,9 @@ class TestConstruction:
             tree.stop_horizon,
         )
 
-    def test_trigger_stops_match_reference(self):
+    def test_trigger_stops_match_reference(self, monkeypatch):
         # seeded balanced rules, about a tenth of which stop on the trigger
+        monkeypatch.setattr(mintree, "DEFAULT_TREE_LIMIT", 5000)
         rng = random.Random(5)
         trigger_stops = 0
         for _ in range(120):
@@ -436,7 +442,7 @@ class TestConstruction:
             rng.shuffle(table)
             rule = Rule(p, tuple(table))
             ref = reference_build(rule, 5000, True)
-            tree = build_minimized(rule, max_nodes=5000, stop_on_violation=True)
+            tree = build_minimized(rule, stop_on_violation=True)
             got = (tree.gammas, tree.children, tree.height, tree.stopped_at, tree.stop_horizon)
             assert got == (ref[0], ref[2], ref[3], ref[4], ref[5]), rule
             if tree.stopped_at is not None:
@@ -461,13 +467,16 @@ class TestConstruction:
             table = [rng.randrange(p.d) for _ in range(p.table_size)]
         rule = Rule(p, tuple(table))
         cap = 1500
-        try:
-            ref = reference_build(rule, cap, stop)
-        except ValueError as e:
-            with pytest.raises(ValueError, match=str(e)):
-                build_minimized(rule, max_nodes=cap, stop_on_violation=stop)
-            return
-        tree = build_minimized(rule, max_nodes=cap, stop_on_violation=stop)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mintree, "DEFAULT_TREE_LIMIT", cap)
+            mp.setattr(mintree, "FULL_TREE_LIMIT", cap)
+            try:
+                ref = reference_build(rule, cap, stop)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=str(e)):
+                    build_minimized(rule, stop_on_violation=stop)
+                return
+            tree = build_minimized(rule, stop_on_violation=stop)
         assert (tree.gammas, tree.children, tree.height, tree.stopped_at, tree.stop_horizon) == (
             ref[0],
             ref[2],
@@ -483,9 +492,10 @@ class TestConstruction:
 
 
 class TestReconstruction:
-    def test_grouped_occurrences_match_per_node(self):
+    def test_grouped_occurrences_match_per_node(self, monkeypatch):
         # one SizeSet per distinct level pattern, whose chains equal node for
         # node the per-node computation
+        monkeypatch.setattr(mintree, "FULL_TREE_LIMIT", 5000)
         rng = random.Random(31)
         rules = [eca(v) for v in range(256)]
         rules += [rule_from_decimal(rng.randrange(3**9), RuleParams(3, 2)) for _ in range(40)]
@@ -493,7 +503,7 @@ class TestReconstruction:
         rules.append(parse_rule("012210210102012102210210012", RuleParams(3, 3)))
         for rule in rules:
             try:
-                tree = build_minimized(rule, max_nodes=5000)
+                tree = build_minimized(rule)
             except ValueError:
                 continue
             shared = exact_occurrences(tree)
@@ -548,10 +558,7 @@ class TestReconstruction:
         for rule in rules:
             c = classify(rule, verified_up_to=0)
             for n in range(rule.params.m, 12):
-                assert is_reversible_for(c, n) == reversible_for_n_by_tree(rule, n), (
-                    rule,
-                    n,
-                )
+                assert is_reversible_for(c, n) == build_full_tree(rule, n).complete, (rule, n)
 
 
 class TestExports:

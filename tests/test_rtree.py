@@ -17,7 +17,6 @@ from revca.rtree import (
     node_total,
     node_violates,
     restrict_special,
-    reversible_for_n_by_tree,
     root_node,
 )
 
@@ -251,12 +250,8 @@ class TestFullTree:
 
 class TestTreeDecision:
     def test_examples(self):
-        assert reversible_for_n_by_tree(parse_rule("1010101010101010", RuleParams(2, 4)), 5)
-        assert not reversible_for_n_by_tree(eca(75), 6)
-
-    def test_requires_n_at_least_m(self):
-        with pytest.raises(ValueError):
-            reversible_for_n_by_tree(eca(75), 2)
+        assert build_full_tree(parse_rule("1010101010101010", RuleParams(2, 4)), 5).complete
+        assert not build_full_tree(eca(75), 6).complete
 
     def test_matches_brute_force_on_sample(self):
         rng = random.Random(11)
@@ -267,7 +262,7 @@ class TestTreeDecision:
             cases.append(rule_from_decimal(rng.randrange(3**9), RuleParams(3, 2)))
         for rule in cases:
             for n in range(rule.params.m, 11):
-                assert reversible_for_n_by_tree(rule, n) == brute_force_reversible(
+                assert build_full_tree(rule, n).complete == brute_force_reversible(
                     rule, n
                 ), (rule, n)
 
@@ -327,4 +322,4 @@ class TestTheorems:
             if is_balanced_rule(rule) or is_strictly_irreversible(rule):
                 continue
             for n in range(3, 11):
-                assert not reversible_for_n_by_tree(rule, n), (value, n)
+                assert not build_full_tree(rule, n).complete, (value, n)
