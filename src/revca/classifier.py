@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
-from .debruijn import pair_graph_fits, reversible_by_pair_graph
+from .debruijn import PairGraphLimitError, reversible_by_pair_graph
 from .dynamics import brute_force_reversible
 from .mintree import MinimizedTree, build_minimized, exact_occurrences
 from .rulespace import Rule, is_balanced_rule, is_strictly_irreversible, wolfram_decimal
@@ -176,8 +176,13 @@ def classify(rule: Rule, verified_up_to: int = DEFAULT_ORACLE_WINDOW) -> Classif
         else:
             ca_class = CAClass.NON_TRIVIALLY_SEMI_REVERSIBLE
 
-    if evidence is None and not pair_graph_fits(rule):
-        verified_up_to = 0
+    if verified_up_to >= 1:
+        try:
+            oracle = reversible_by_pair_graph(rule, verified_up_to)
+        except PairGraphLimitError:
+            if evidence is not None:
+                raise
+            verified_up_to = 0
     result = Classification(
         rule=rule,
         ca_class=ca_class,
@@ -188,7 +193,6 @@ def classify(rule: Rule, verified_up_to: int = DEFAULT_ORACLE_WINDOW) -> Classif
     )
     if verified_up_to >= 1:
         predicted = [is_reversible_for(result, n) for n in range(1, verified_up_to + 1)]
-        oracle = reversible_by_pair_graph(rule, verified_up_to)
         if predicted != oracle:
             raise OracleMismatchError(rule, predicted, oracle)
     return result

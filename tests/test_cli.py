@@ -9,14 +9,26 @@ import pytest
 import revca
 from revca.classifier import MAX_ORACLE_WINDOW, OracleMismatchError, classify
 from revca.cli import main
+from revca.debruijn import PAIR_GRAPH_BYTE_LIMIT, _walk_bytes
 from revca.mintree import FULL_TREE_LIMIT
-from revca.rulespace import RuleParams, rule_from_decimal
+from revca.rulespace import Rule, RuleParams, rule_from_decimal, wolfram_decimal
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def third_state_rule() -> str:
+    """Decimal code of a skewed, unbalanced (41,2) rule whose pair-graph walk
+    fits the byte limit with two state copies, but not with three."""
+    params = RuleParams(41, 2)
+    rule = Rule(params, (1,) * 40 + (2,) * 37 + (0,) * (params.table_size - 77))
+    w = params.node_width
+    state_bytes = (w * w + 1) * -(-(w * (w - 1) // 2) // 64) * 8
+    assert _walk_bytes(rule) - state_bytes <= PAIR_GRAPH_BYTE_LIMIT < _walk_bytes(rule)
+    return str(wolfram_decimal(rule))
 
 
 class TestClassify:
@@ -115,6 +127,17 @@ class TestClassify:
         assert code == 0
         assert "verified up to: 0" in out.splitlines()
 
+    def test_shortcut_in_third_state_band(self, capsys):
+        # the walk's third state copy (Brent's checkpoint) puts this rule
+        # past the limit, so the cross-check is skipped
+        code, out, err = run(
+            capsys,
+            "classify", "--states", "41", "--neighborhood", "2", "--rule", third_state_rule(),
+            "--format", "json",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["verified_up_to"] == 0
+
     def test_balanced_rule_past_oracle_memory_limit(self, capsys):
         # the shift rule is balanced, so only the oracle could verify it
         code, out, err = run(
@@ -151,6 +174,17 @@ class TestCheckAndOracle:
         code, out, err = run(
             capsys,
             "oracle", "--states", "2", "--neighborhood", "12", "--rule", "01" * 2048,
+            "--n", "5", "--method", "pairgraph",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: pair-graph oracle") and "limit" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_oracle_pairgraph_in_third_state_band(self, capsys):
+        code, out, err = run(
+            capsys,
+            "oracle", "--states", "41", "--neighborhood", "2", "--rule", third_state_rule(),
             "--n", "5", "--method", "pairgraph",
         )
         assert code == 1

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,14 +9,16 @@ from hypothesis import strategies as st
 
 from revca.debruijn import (
     PAIR_GRAPH_BYTE_LIMIT,
+    PairGraphLimitError,
     _PairWalk,
     _walk_bytes,
+    _walk_verdicts,
     export_debruijn_dot,
     pair_trace_oracle,
     reversible_by_pair_graph,
 )
 from revca.dynamics import brute_force_reversible, rmt_sequence
-from revca.rulespace import Rule, RuleParams, parse_rule, tuple_of_rmt
+from revca.rulespace import Rule, RuleParams, parse_rule, rule_from_decimal, tuple_of_rmt
 
 from conftest import FIG2_RULE, eca, rule33
 
@@ -58,6 +61,80 @@ def linear_rule(p: int, coeffs: tuple[int, ...]) -> Rule:
         for r in range(params.table_size)
     )
     return Rule(params, table)
+
+
+SHAPES = [
+    RuleParams(d, m) for d, m in [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (5, 2), (2, 5)]
+]
+
+
+@st.composite
+def shaped_rules(draw):
+    """Uniform, balanced or linear rules of every shape in SHAPES."""
+    params = draw(st.sampled_from(SHAPES))
+    d, size = params.d, params.table_size
+    kind = draw(st.sampled_from(["uniform", "balanced", "linear"]))
+    if kind == "linear":
+        return linear_rule(d, draw(st.tuples(*[st.integers(0, d - 1)] * params.m)))
+    if kind == "balanced":
+        return Rule(params, tuple(v % d for v in draw(st.permutations(range(size)))))
+    return Rule(params, draw(st.tuples(*[st.integers(0, d - 1)] * size)))
+
+
+def reference_walk(rule: Rule, steps: int) -> tuple[list[bool], list[np.ndarray]]:
+    """`steps` steps of a plain walk in the pair graph, with no early stop.
+
+    Returns the verdicts for n = 1..steps and the reach matrices of steps
+    0..steps.  Row i marks the pair nodes that the i-th off-diagonal node
+    reaches by walks of that length; G_n is injective iff no row marks its
+    own node.
+    """
+    p = rule.params
+    d, w = p.d, p.node_width
+    table = np.asarray(rule.table)
+    r, s = np.nonzero(table[:, None] == table[None, :])
+    adjacency = np.zeros((w * w, w * w), dtype=np.float32)
+    adjacency[(r // d) * w + s // d, (r % w) * w + s % w] = 1
+    starts = np.array([u * w + v for u in range(w) for v in range(w) if u != v])
+    own = np.arange(starts.size) * w * w + starts  # flat index of each row's own node
+    reach = np.zeros((starts.size, w * w), dtype=np.float32)
+    reach.flat[own] = 1
+    verdicts, states = [], [reach]
+    for _ in range(steps):
+        reach = np.minimum(reach @ adjacency, 1)
+        verdicts.append(not reach.take(own).any())
+        states.append(reach)
+    return verdicts, states
+
+
+HUGE = 10**9 + 1
+
+
+def assert_walk_matches_reference(rule, limit, reference=None, huge=False):
+    """The walk's verdicts and period against `reference_walk` over `limit` steps.
+
+    With `huge`, also `pair_trace_oracle` at the sizes of one period ending
+    at HUGE, read back from the reference through the period.
+    """
+    ref, states = reference or reference_walk(rule, limit)
+    ref = ref[:limit]
+    verdicts, period = _walk_verdicts(rule, limit)
+    t = len(verdicts)
+    assert verdicts == ref[:t]
+    assert reversible_by_pair_graph(rule, limit) == ref
+    if not period:
+        assert t == limit
+        return
+    # the repeat is real, the period is the least, and a fixed point is seen
+    # at its first repeat
+    assert np.array_equal(states[t], states[t - period])
+    assert not any(np.array_equal(states[t], states[t - q]) for q in range(1, period))
+    if period == 1 and t >= 2:
+        assert not np.array_equal(states[t - 1], states[t - 2])
+    if huge:
+        first = t - period + 1  # the cycle's sizes are first .. t
+        for n in range(HUGE - period + 1, HUGE + 1):
+            assert pair_trace_oracle(rule, n) == ref[first + (n - first) % period - 1]
 
 
 def _trim(f: list[int]) -> list[int]:
@@ -217,6 +294,39 @@ class TestPairOracle:
             assert pair_trace_oracle(rule, n) == verdicts[n - 1]
 
 
+class TestWalkStop:
+    """The walk stops at its state's first repeat for a fixed point, and at
+    Brent's checkpoint for a longer cycle."""
+
+    @given(shaped_rules(), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_walk(self, rule, limit):
+        assert_walk_matches_reference(rule, limit, huge=True)
+
+    def test_fixed_point_seen_at_first_repeat(self):
+        # ECA 250's walk state stops changing at step 4 and is seen at step 5;
+        # Brent's checkpoints alone (after steps 1, 3, 7) see it at step 8
+        verdicts, period = _walk_verdicts(eca(250), 100)
+        assert (len(verdicts), period) == (5, 1)
+        assert_walk_matches_reference(eca(250), 100, huge=True)
+
+    def test_period_12_cycle(self):
+        # the longest period in the (2,4) family, seen at Brent's checkpoint
+        rule = rule_from_decimal(727, RuleParams(2, 4))
+        verdicts, period = _walk_verdicts(rule, 100)
+        assert (len(verdicts), period) == (27, 12)
+        assert_walk_matches_reference(rule, 100, huge=True)
+
+    @pytest.mark.long
+    def test_long_matches_reference_on_whole_families(self):
+        for params in (RuleParams(2, 3), RuleParams(3, 2), RuleParams(2, 4)):
+            for value in range(params.d**params.table_size):
+                rule = rule_from_decimal(value, params)
+                reference = reference_walk(rule, 100)
+                for limit in (24, 100):
+                    assert_walk_matches_reference(rule, limit, reference)
+
+
 class TestLinearRules:
     """Linear rules over GF(p) against the circulant criterion."""
 
@@ -249,20 +359,44 @@ class TestLinearRules:
 
 
 class TestWalkMemory:
-    @given(rules)
+    @given(shaped_rules())
     @settings(max_examples=20, deadline=None)
     def test_bound_covers_allocation(self, rule):
         walk = _PairWalk(rule)
-        state_bytes, gather_bytes = _walk_bytes(rule)
-        assert walk.state.nbytes == state_bytes
-        assert walk.gather.nbytes <= gather_bytes
+        states = [*walk.buffers, walk.checkpoint]
+        assert len({len(state) for state in states}) == 1
+        assert sum(map(len, states)) + walk.gather.nbytes <= _walk_bytes(rule)
+
+    def test_steps_after_the_first_allocate_no_state(self):
+        # period 31: the state repeats nothing within 40 steps
+        walk = _PairWalk(linear_rule(2, (1, 0, 1, 0, 0, 1)))
+        walk.step()
+        walk.injective()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(40):
+                assert walk.step() == 0
+                walk.injective()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # not even a Boolean array with one byte per state word
+        assert peak < len(walk.checkpoint) // 8
 
     def test_over_limit_raises_before_allocating(self):
         rule = parse_rule("01" * 2048, RuleParams(2, 12))
-        state_bytes, gather_bytes = _walk_bytes(rule)
-        assert 2 * state_bytes + gather_bytes > PAIR_GRAPH_BYTE_LIMIT
-        with pytest.raises(ValueError, match=str(gather_bytes)):
-            reversible_by_pair_graph(rule, 24)
+        need = _walk_bytes(rule)
+        assert need > PAIR_GRAPH_BYTE_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(PairGraphLimitError, match=str(need)):
+                reversible_by_pair_graph(rule, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDot:
