@@ -24,7 +24,7 @@ from .debruijn import PairGraphLimitError, reversible_by_pair_graph
 from .dynamics import brute_force_reversible
 from .mintree import MinimizedTree, build_minimized, exact_occurrences
 from .rulespace import Rule, is_balanced_rule, is_strictly_irreversible, wolfram_decimal
-from .rtree import DEFAULT_TREE_LIMIT, child_node, node_violates, root_node
+from .rtree import DEFAULT_TREE_LIMIT, NodeKernel, root_node
 from .sizeset import IrreversibilityExpression, SizeSet
 
 DEFAULT_ORACLE_WINDOW = 24
@@ -48,29 +48,25 @@ def scan_violations(tree: MinimizedTree, rule: Rule) -> SizeSet:
     for a level on a progression of the node's levels.
     """
     p = rule.params
-    failing: dict[tuple[int, int], SizeSet] = {}  # one entry per (id(levels), iota bits)
+    failures = NodeKernel(rule).failures
+    failing: dict[int, list] = {}  # id(levels) -> [levels, OR of its nodes' failing iota bits]
     for gamma, levels in zip(tree.gammas, exact_occurrences(tree)):
-        failed = sum(node_violates(gamma, iota, rule) << iota for iota in range(p.m))
+        failed = failures(gamma)
         if failed:
-            failing[id(levels), failed] = levels
-
-    def member(n: int) -> bool:
-        return any(
-            failed & 1 and n >= min(sum(levels.chains, ())) + p.m
-            or any(
-                failed >> iota & 1
-                and n - iota in levels
-                and (n >= p.m or n - iota not in levels.chains[0])
-                for iota in range(1, p.m)
-            )
-            for (_, failed), levels in failing.items()
-        )
-
-    return SizeSet.periodic(
-        member,
-        max((levels.start + levels.period + p.m for levels in failing.values()), default=0),
-        lcm(*(levels.period for levels in failing.values())),
-    )
+            failing.setdefault(id(levels), [levels, 0])[1] |= failed
+    # a pattern's levels are periodic from its start, its first one below start + period
+    start = max((levels.start + levels.period + p.m for levels, _ in failing.values()), default=0)
+    period = lcm(*(levels.period for levels, _ in failing.values()))
+    sizes = 0  # bit n set for each size ruled out, exact below start + period
+    for levels, failed in failing.values():
+        below = sum(1 << t for t in range(start + period) if t in levels)
+        if failed & 1:
+            sizes |= -1 << ((below & -below).bit_length() - 1 + p.m)
+        for iota in range(1, p.m):
+            if failed >> iota & 1:
+                loose = sum(1 << t for t in levels.chains[0] if t + iota < p.m)
+                sizes |= (below & ~loose) << iota
+    return SizeSet.periodic(lambda n: bool(sizes >> n & 1), start, period)
 
 
 def walk_violations(rule: Rule, horizon: int) -> SizeSet:
@@ -83,16 +79,22 @@ def walk_violations(rule: Rule, horizon: int) -> SizeSet:
     that can name a size not yet ruled out.
     """
     p = rule.params
+    kernel = NodeKernel(rule)
     todo = set(range(p.m, horizon))  # sizes not yet ruled out
     level = {root_node(p)}
     for t in range(horizon - 1):
+        # a size n > t is named by placement n - t, or by 0 from t + m on
+        wanted = None  # the placements that name a size in todo
         for gamma in level:
-            if max(todo, default=0) >= t + p.m and node_violates(gamma, 0, rule):
-                todo = {n for n in todo if n < t + p.m}
-            todo -= {n for n in todo if t < n < t + p.m and node_violates(gamma, n - t, rule)}
+            if wanted is None:
+                wanted = sum(1 << i for i in {min(n - t, p.m) % p.m for n in todo if n > t})
+            failed = kernel.failures(gamma, wanted)
+            if failed:
+                todo = {n for n in todo if n <= t or not failed >> min(n - t, p.m) % p.m & 1}
+                wanted = None
         if max(todo, default=0) <= t + 1:
             break
-        level = {child_node(gamma, x, rule) for gamma in level for x in range(p.d)}
+        level = {kernel.child(gamma, x) for gamma in level for x in range(p.d)}
         if len(level) > DEFAULT_TREE_LIMIT:
             raise ValueError(f"unrolled tree level {t + 1} exceeds {DEFAULT_TREE_LIMIT} nodes")
     return SizeSet.periodic(lambda n: n >= horizon or (n >= p.m and n not in todo), horizon, 1)

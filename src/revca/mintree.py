@@ -4,21 +4,22 @@ Construction is level-synchronous.  Every unique node is expanded exactly
 once; a child equal to an existing node only adds a link.
 
 Where a node sits in the unrolled tree is read from the level sequence: the
-child map drives a walk through node sets that is eventually periodic, so a
-node's levels form an eventually periodic set, held as a `SizeSet` (the
-type that also holds a rule's irreversible sizes).  `exact_occurrences`
-builds one per distinct pattern of positions in the sequence, and
-`MinimizedTree.occurrences` keeps them for `occurs_at_level` and for the
-outputs that read their `chains` (one progression per residue plus the loose
-levels): `loops_of`, the JSON/DOT exports and the classifier's scan.
+child map drives a walk through node sets that is eventually periodic, held
+as a Boolean levels x nodes matrix, so a node's levels (its column) form an
+eventually periodic set, held as a `SizeSet` (the type that also holds a
+rule's irreversible sizes).  `exact_occurrences` builds one per distinct
+column, and `MinimizedTree.occurrences` keeps them for `occurs_at_level` and
+for the outputs that read their `chains` (one progression per residue plus
+the loose levels): `loops_of`, the JSON/DOT exports and the classifier's scan.
 
 With `stop_on_violation` the build applies the paper's loop rule for period
 1: a node reached again at the level after the one it was created at has a
 loop of period 1, taken to stand at every level from its creation level on,
-and so does every node it created, one level further down.  One flag per
-node records this; a new node inherits its creator's flag.  The rule only
-drives the early stop: the exact levels can be fewer (ECA 23's node 21 is
-reached at levels 4 and 5 but does not sit at level 6).
+and so does every node it created, one level further down: the entries of
+its child row that name it as creator.  One flag per node records this; a
+new node inherits its creator's flag.  The rule only drives the early stop:
+the exact levels can be fewer (ECA 23's node 21 is reached at levels 4 and 5
+but does not sit at level 6).
 """
 
 from __future__ import annotations
@@ -27,16 +28,11 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
-from .rtree import (
-    DEFAULT_TREE_LIMIT,
-    Gamma,
-    child_node,
-    gamma_rmts,
-    node_sets,
-    node_violates,
-    root_node,
-)
+import numpy as np
+
+from .rtree import DEFAULT_TREE_LIMIT, Gamma, NodeKernel, gamma_rmts, node_sets, root_node
 from .rulespace import Rule
 from .sizeset import SizeSet
 
@@ -65,8 +61,7 @@ class MinimizedTree:
 
 
 class _TriviallyIrreversible(Exception):
-    def __init__(self, horizon: int):
-        self.horizon = horizon
+    """Raised with the size from which every size is irreversible."""
 
 
 def build_minimized(rule: Rule, stop_on_violation: bool = False) -> MinimizedTree:
@@ -88,13 +83,15 @@ def build_minimized(rule: Rule, stop_on_violation: bool = False) -> MinimizedTre
     """
     p = rule.params
     max_nodes = DEFAULT_TREE_LIMIT if stop_on_violation else FULL_TREE_LIMIT
+    kernel = NodeKernel(rule)
+    child_of, failures = kernel.child, kernel.failures
     root = root_node(p)
     ids: dict[Gamma, int] = {root: 0}
     gammas: list[Gamma] = [root]
     children: list[list[int]] = [[-1] * p.d]
     born: list[int] = [0]  # creation level
     loop1: list[bool] = [False]  # has a period-1 loop (kept only when stopping)
-    created: list[list[int]] = [[]]  # nodes first built from this one
+    creator: list[int] = [-1]  # the node whose expansion first built this one
     height = 0
 
     def flag_loop(start: int) -> None:
@@ -105,10 +102,10 @@ def build_minimized(rule: Rule, stop_on_violation: bool = False) -> MinimizedTre
             if loop1[nid]:
                 continue
             loop1[nid] = True
-            for iota in range(1, p.m):
-                if node_violates(gammas[nid], iota, rule):
-                    raise _TriviallyIrreversible(born[nid] + iota)
-            work.extend(created[nid])
+            failed = failures(gammas[nid], -2)  # every placement but 0
+            if failed:
+                raise _TriviallyIrreversible(born[nid] + (failed & -failed).bit_length() - 1)
+            work.extend(c for c in children[nid] if c >= 0 and creator[c] == nid)
 
     frontier = [0]
     level = 0
@@ -119,8 +116,9 @@ def build_minimized(rule: Rule, stop_on_violation: bool = False) -> MinimizedTre
             level += 1
             new_frontier = []
             for nid in frontier:
+                gamma, row = gammas[nid], children[nid]
                 for x in range(p.d):
-                    child = child_node(gammas[nid], x, rule)
+                    child = child_of(gamma, x)
                     cid = ids.get(child)
                     if cid is None:
                         cid = len(gammas)
@@ -133,21 +131,20 @@ def build_minimized(rule: Rule, stop_on_violation: bool = False) -> MinimizedTre
                         children.append([-1] * p.d)
                         born.append(level)
                         loop1.append(loop1[nid])
-                        created.append([])
-                        created[nid].append(cid)
-                        children[nid][x] = cid
+                        creator.append(nid)
+                        row[x] = cid
                         new_frontier.append(cid)
                         height = level
-                        if stop_on_violation and node_violates(child, 0, rule):
+                        if stop_on_violation and failures(child, 1):
                             raise _TriviallyIrreversible(level + p.m)
                     else:
-                        children[nid][x] = cid
+                        row[x] = cid
                         if stop_on_violation and level == born[cid] + 1 and not loop1[cid]:
                             flag_loop(cid)
             frontier = new_frontier
     except _TriviallyIrreversible as stop:
         stopped_at = level
-        stop_horizon = stop.horizon
+        (stop_horizon,) = stop.args
     return MinimizedTree(rule, gammas, children, height, stopped_at, stop_horizon)
 
 
@@ -161,55 +158,52 @@ def occurs_at_level(tree: MinimizedTree, node_id: int, p: int) -> bool:
     return p in tree.occurrences[node_id]
 
 
-_SEQUENCE_CAP = 1 << 14
+# the level matrix and one copy of it (its row keys, later its columns): at
+# FULL_TREE_LIMIT nodes, 1,342 levels
+LEVEL_MATRIX_BYTE_LIMIT = 1 << 28
 
 
-def level_sequence(tree: MinimizedTree) -> tuple[list[frozenset[int]], int, int]:
-    """Node-id sets of each level of the (infinitely unrolled) tree.
+def level_sequence(tree: MinimizedTree) -> tuple[np.ndarray, int, int]:
+    """Nodes at each level of the (infinitely unrolled) tree.
 
     The child map drives a deterministic walk through subsets of nodes, so
-    the sequence is eventually periodic.  Returns (prefix, transient, period)
-    with len(prefix) = transient + period; the set at any level l is
-    prefix[l] for l < transient, else prefix[transient + (l-transient) % period].
+    the sequence is eventually periodic.  Returns (matrix, transient,
+    period): a Boolean (transient + period) x nodes matrix whose row l marks
+    the nodes at level l for l < transient, and at any later level l the
+    row transient + (l - transient) % period.
 
     Requires a completed tree (every node expanded); not valid on trees
-    truncated by stop_on_violation.
+    truncated by stop_on_violation.  Refused, with a ValueError, once the
+    matrix and its row keys would pass LEVEL_MATRIX_BYTE_LIMIT.
     """
     if tree.stopped_at is not None:
         raise ValueError("level_sequence needs a fully built tree")
-    seen: dict[frozenset[int], int] = {}
-    prefix: list[frozenset[int]] = []
-    current = frozenset([0])
-    while current not in seen:
-        if len(prefix) > _SEQUENCE_CAP:
-            raise ValueError("level sequence failed to become periodic")
-        seen[current] = len(prefix)
-        prefix.append(current)
-        current = frozenset(
-            child for nid in current for child in tree.children[nid]
-        )
-    transient = seen[current]
-    period = len(prefix) - transient
-    return prefix, transient, period
+    n, d = tree.unique_nodes, tree.rule.params.d
+    children = np.fromiter(chain.from_iterable(tree.children), np.intp, n * d).reshape(n, d)
+    seen: dict[bytes, int] = {}  # row -> level; its keys are the rows in order
+    row = np.arange(n) == 0  # the root alone
+    while (key := row.tobytes()) not in seen:
+        if 2 * (len(seen) + 1) * n > LEVEL_MATRIX_BYTE_LIMIT:
+            raise ValueError(f"level matrix of {n} nodes passes {LEVEL_MATRIX_BYTE_LIMIT} bytes")
+        seen[key] = len(seen)
+        row, nodes = np.zeros(n, dtype=bool), row
+        row[children.compress(nodes, axis=0)] = True
+    transient = seen[key]
+    matrix = np.frombuffer(b"".join(seen), dtype=bool).reshape(len(seen), n)
+    return matrix, transient, len(seen) - transient
 
 
 def exact_occurrences(tree: MinimizedTree) -> list[SizeSet]:
     """Per-node exact level sets from the level sequence.
 
-    Nodes at the same positions of the sequence share one `SizeSet`,
+    Nodes with the same column of the level matrix share one `SizeSet`,
     computed once.
     """
-    prefix, transient, period = level_sequence(tree)
-    masks = [0] * tree.unique_nodes
-    for t, nodes in enumerate(prefix):
-        bit = 1 << t
-        for nid in nodes:
-            masks[nid] |= bit
-    shared = {
-        mask: SizeSet.periodic(lambda t: bool(mask >> t & 1), transient, period)
-        for mask in set(masks)
-    }
-    return [shared[mask] for mask in masks]
+    matrix, transient, period = level_sequence(tree)
+    rows, flat = len(matrix), matrix.T.tobytes()  # node i's column at [i*rows, (i+1)*rows)
+    columns = [flat[i : i + rows] for i in range(0, len(flat), rows)]
+    shared = {c: SizeSet.periodic(c.__getitem__, transient, period) for c in set(columns)}
+    return [shared[c] for c in columns]
 
 
 def loops_of(tree: MinimizedTree, node_id: int) -> list[tuple[int, int]]:

@@ -14,7 +14,8 @@ mask, the child folds each slot's d blocks of d^(m-1) bits onto the low one,
 spreads bit j to bit d*j in ceil(log2 d^(m-1)) masked shifts and fills each
 sibling block with one multiplication, and the restriction is one AND.  The
 per-shape masks are built once per (d, m) (`_shape`), the per-rule ones once
-per Rule (`Rule.node_state_masks`).
+per Rule (`Rule.node_state_masks`) and their per-placement restrictions once
+per `NodeKernel`, whose `failures` checks all placements of a node in one call.
 
 RMT totals and balance are counted with multiplicity across the d^(m-1) sets
 (the same RMT may appear in several of them), so a node's total is its
@@ -96,6 +97,43 @@ def node_total(gamma: Gamma) -> int:
     return gamma.bit_count()
 
 
+class NodeKernel:
+    """One rule's node operations, `child` and `failures`, with its masks
+    built once; `child_node` and `node_violates` build one per call."""
+
+    def __init__(self, rule: Rule):
+        p = rule.params
+        _, self.fold, self.low, self.spread, self.block, valid = _shape(p.d, p.m)
+        self.edges = rule.node_state_masks
+        self.checks = [  # per placement i: its bit, each state's valid RMTs, the count each needs
+            (1 << i, [e & ok for e in self.edges] if i else self.edges, p.d ** ((i or p.m) - 1))
+            for i, ok in enumerate(valid)
+        ]
+
+    def child(self, parent: Gamma, state: int) -> Gamma:
+        """Unrestricted child of a node for output `state` (see `child_node`)."""
+        edge = parent & self.edges[state]
+        folded = edge
+        for shift in self.fold:
+            folded |= edge >> shift
+        folded &= self.low
+        for mask, shift in self.spread:
+            moved = folded & mask
+            folded ^= moved ^ (moved << shift)
+        return folded * self.block
+
+    def failures(self, gamma: Gamma, iotas: int = -1) -> int:
+        """The bits of the placements in `iotas` at which `node_violates` holds."""
+        failed = 0
+        for bit, masks, per_state in self.checks:
+            if iotas & bit:
+                for mask in masks:
+                    if (gamma & mask).bit_count() != per_state:
+                        failed |= bit
+                        break
+        return failed
+
+
 def node_violates(gamma: Gamma, iota: int, rule: Rule) -> bool:
     """Does the node break the completeness conditions at a placement?
 
@@ -104,14 +142,9 @@ def node_violates(gamma: Gamma, iota: int, rule: Rule) -> bool:
     level-restricted node must hold d^iota RMTs, balanced.  Both amount to
     d^(m-1), resp. d^(iota-1), RMTs per next state.
     """
-    p = rule.params
-    if iota:
-        gamma = restrict_special(gamma, iota, p)
-    per_state = p.d ** ((iota or p.m) - 1)
-    for mask in rule.node_state_masks:
-        if (gamma & mask).bit_count() != per_state:
-            return True
-    return False
+    if not 0 <= iota < rule.params.m:
+        raise ValueError(f"iota {iota} out of range [0, {rule.params.m - 1}]")
+    return bool(NodeKernel(rule).failures(gamma, 1 << iota))
 
 
 def child_node(parent: Gamma, state: int, rule: Rule) -> Gamma:
@@ -121,19 +154,9 @@ def child_node(parent: Gamma, state: int, rule: Rule) -> Gamma:
     `parent & rule.node_state_masks[state]`; the child holds, for each edge
     RMT r, the sibling set of r mod d^(m-1).
     """
-    p = rule.params
-    if not 0 <= state < p.d:
-        raise ValueError(f"state {state} out of range [0, {p.d})")
-    shape = _shape(p.d, p.m)
-    edge = parent & rule.node_state_masks[state]
-    folded = edge
-    for shift in shape.fold:
-        folded |= edge >> shift
-    folded &= shape.low
-    for mask, shift in shape.spread:
-        moved = folded & mask
-        folded ^= moved ^ (moved << shift)
-    return folded * shape.block
+    if not 0 <= state < rule.params.d:
+        raise ValueError(f"state {state} out of range [0, {rule.params.d})")
+    return NodeKernel(rule).child(parent, state)
 
 
 def restrict_special(gamma: Gamma, iota: int, params: RuleParams) -> Gamma:
@@ -184,6 +207,7 @@ def build_full_tree(rule: Rule, n: int) -> FullTree:
     if n < 1:
         raise ValueError(f"size must be >= 1, got {n}")
     p = rule.params
+    kernel = NodeKernel(rule)
     levels: list[dict[Gamma, int]] = [{root_node(p): 1}]
     edge_sizes: list[set[int]] = []
     complete = True
@@ -201,7 +225,7 @@ def build_full_tree(rule: Rule, n: int) -> FullTree:
                 if total == 0:
                     complete = False
                     continue
-                child = child_node(gamma, x, rule)
+                child = kernel.child(gamma, x)
                 if 1 <= iota <= p.m - 1:
                     child = restrict_special(child, iota, p)
                 nxt[child] = nxt.get(child, 0) + count

@@ -198,12 +198,34 @@ class TestScan:
 
     @pytest.mark.parametrize(
         "rule",
-        [eca(23), eca(75), rule33("012210210102012102210210012")],
-        ids=["eca23", "eca75", "height19"],
+        [
+            eca(23),
+            eca(75),
+            rule33("012210210102012102210210012"),
+            rule33("021101110202222202110010021"),
+            pytest.param(parse_rule("1010100101010110", RuleParams(2, 4)), marks=pytest.mark.long),
+        ],
+        ids=["eca23", "eca75", "height19", "height19b", "giant40320"],
     )
     def test_matches_undeduplicated_scan(self, rule):
         tree = build_minimized(rule)
         assert scan_violations(tree, rule) == SizeSet.of(*undeduplicated_scan(tree, rule))
+
+    @pytest.mark.long
+    def test_long_matches_undeduplicated_scan_on_whole_families(self):
+        # every (3,2) and (2,4) rule whose early-stopping build completes,
+        # the four 40,320-node (2,4) trees included
+        scanned = 0
+        for d, m in ((3, 2), (2, 4)):
+            p = RuleParams(d, m)
+            for value in range(d**p.table_size):
+                rule = rule_from_decimal(value, p)
+                tree = build_minimized(rule, stop_on_violation=True)
+                if tree.stopped_at is None:
+                    got = scan_violations(tree, rule)
+                    assert got == SizeSet.of(*undeduplicated_scan(tree, rule)), rule
+                    scanned += 1
+        assert scanned > 0
 
 
 def undeduplicated_scan(tree, rule):

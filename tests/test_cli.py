@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import revca
+from revca import mintree
 from revca.classifier import MAX_ORACLE_WINDOW, OracleMismatchError, classify
 from revca.cli import main
 from revca.debruijn import PAIR_GRAPH_BYTE_LIMIT, _walk_bytes
@@ -377,6 +378,15 @@ class TestExitCodes:
         assert code == 2
         assert "ORACLE MISMATCH" in err
         assert "disagree" in err
+
+    def test_level_matrix_over_limit_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(mintree, "LEVEL_MATRIX_BYTE_LIMIT", 100)
+        code, out, err = run(
+            capsys, "classify", "--states", "2", "--neighborhood", "3", "--rule", "75"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: level matrix of 21 nodes passes 100 bytes\n"
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize(

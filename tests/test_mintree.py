@@ -3,6 +3,7 @@ import random
 from collections import deque
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,10 +156,10 @@ def reference_occurrences(tree):
     sporadic = [[] for _ in range(tree.unique_nodes)]
     residues = [set() for _ in range(tree.unique_nodes)]
     for t in range(transient):
-        for nid in prefix[t]:
+        for nid in np.flatnonzero(prefix[t]).tolist():
             sporadic[nid].append(t)
     for c in range(period):
-        for nid in prefix[transient + c]:
+        for nid in np.flatnonzero(prefix[transient + c]).tolist():
             residues[nid].add(c)
     out = []
     for nid in range(tree.unique_nodes):
@@ -412,6 +413,9 @@ class TestConstruction:
             (2, 4, "1010011101011000", (994, 10, 10, 12)),
             # a new node inheriting its creator's flag decides the stop
             (4, 2, "2301312020312130", (36, 4, 4, 4)),
+            # the flag descends from a node whose row is still partly
+            # unexpanded into the nodes it created earlier in that level
+            (3, 2, "020212101", (7, 2, 2, 2)),
         ],
     )
     def test_period_1_trigger_pinned(self, d, m, text, pinned):
@@ -485,6 +489,17 @@ class TestConstruction:
             ref[5],
         )
 
+    def test_level_matrix_bound(self, monkeypatch):
+        # checked before each row: the matrix and its row keys fit exactly,
+        # or the sequence is refused
+        tree = build_minimized(eca(75))
+        matrix, _, _ = level_sequence(tree)
+        monkeypatch.setattr(mintree, "LEVEL_MATRIX_BYTE_LIMIT", 2 * matrix.size)
+        assert (level_sequence(tree)[0] == matrix).all()
+        monkeypatch.setattr(mintree, "LEVEL_MATRIX_BYTE_LIMIT", 2 * matrix.size - 1)
+        with pytest.raises(ValueError, match="^level matrix of 21 nodes passes"):
+            level_sequence(tree)
+
     def test_non_violating_rule_ignores_stop_flag(self):
         a = build_minimized(eca(75), stop_on_violation=True)
         assert a.stopped_at is None
@@ -541,8 +556,8 @@ class TestReconstruction:
 
         def at(level):
             if level < transient:
-                return prefix[level]
-            return prefix[transient + (level - transient) % period]
+                return np.flatnonzero(prefix[level]).tolist()
+            return np.flatnonzero(prefix[transient + (level - transient) % period]).tolist()
 
         for n in (5, 7, 9):
             full = build_full_tree(rule, n)

@@ -8,6 +8,7 @@ from revca import rtree
 from revca.dynamics import brute_force_reversible, reachable_codes
 from revca.rulespace import Rule, RuleParams, parse_rule, rule_from_decimal, sibling_set
 from revca.rtree import (
+    NodeKernel,
     build_full_tree,
     child_node,
     edge_counts_ok,
@@ -73,6 +74,11 @@ class TestNodeBasics:
     def test_rejects_bad_state(self):
         with pytest.raises(ValueError):
             child_node(root_node(RuleParams(2, 3)), 2, eca(75))
+
+    @pytest.mark.parametrize("iota", [-1, 3])
+    def test_rejects_bad_placement(self, iota):
+        with pytest.raises(ValueError, match="iota"):
+            node_violates(root_node(RuleParams(2, 3)), iota, eca(75))
 
     def test_totals_count_multiplicity(self):
         # rule 85 builds nodes whose sets repeat RMTs; totals still reach d^m
@@ -181,17 +187,26 @@ class TestPackedKernel:
         table = data.draw(st.lists(st.integers(0, d - 1), min_size=size, max_size=size))
         rule = Rule(p, tuple(table))
         walk = data.draw(
-            st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, m - 1)), max_size=10)
+            st.lists(
+                st.tuples(st.integers(0, d - 1), st.integers(0, m - 1), st.integers(0, 2**m - 1)),
+                max_size=10,
+            )
         )
+        kernel = NodeKernel(rule)
         node = root_node(p)
         ref = tuple(((1 << d) - 1) << (d * k) for k in range(p.node_width))
-        for state, iota in walk:
+        for state, iota, iotas in walk:
             assert tuple(node_sets(node, p)) == ref
             assert node_total(node) == ref_total(ref)
             assert node_violates(node, 0, rule) == ref_violates(ref, 0, rule)
             for j in range(1, m):
                 assert tuple(node_sets(restrict_special(node, j, p), p)) == ref_restrict(ref, j, p)
                 assert node_violates(node, j, rule) == ref_violates(ref, j, rule)
+            # the batched check gives every placement's verdict at once
+            failed = kernel.failures(node)
+            assert failed == sum(node_violates(node, j, rule) << j for j in range(m))
+            assert failed == sum(ref_violates(ref, j, rule) << j for j in range(m))
+            assert kernel.failures(node, iotas) == failed & iotas
             edge = node & rule.node_state_masks[state]
             node = child_node(node, state, rule)
             ref_edge, ref = ref_child(ref, state, rule)
@@ -212,6 +227,9 @@ class TestPackedKernel:
         assert node_total(root_node(p) & rule.node_state_masks[1]) == p.node_width
         assert node_total(child) == p.table_size
         assert not node_violates(child, 0, rule)
+        kernel = NodeKernel(rule)
+        for node in (root_node(p), child, kernel.child(child, 0), restrict_special(child, 1, p)):
+            assert kernel.failures(node) == sum(node_violates(node, j, rule) << j for j in range(m))
 
 
 class TestFullTree:
