@@ -6,17 +6,20 @@ minimized reachability tree.  One placement rule turns its nodes' condition
 failures into irreversible sizes, read on a full tree from each node's exact
 levels (`scan_violations`) and below an early stop's horizon from one walk
 over the unrolled levels (`walk_violations`).  The result is one canonical
-SizeSet, exact from m on (the brute-forced small-size table answers below m).
+SizeSet over every n >= 1: the brute-forced small-size table answers below
+m, the tree's set or the shortcut's from m on.
 
-Every classification is cross-checked against the pair-graph oracle on a
-window of sizes before it is returned; a disagreement raises
-OracleMismatchError instead of silently shipping either verdict.
+Every classification is cross-checked against the pair-graph oracle before
+it is returned: the walk's verdicts and period give the oracle's whole set,
+compared by value.  A disagreement raises OracleMismatchError instead of
+silently shipping either verdict.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import count
 from math import lcm
 from typing import Sequence
 
@@ -27,8 +30,7 @@ from .rulespace import Rule, is_balanced_rule, is_strictly_irreversible, wolfram
 from .rtree import DEFAULT_TREE_LIMIT, NodeKernel, root_node
 from .sizeset import IrreversibilityExpression, SizeSet
 
-DEFAULT_ORACLE_WINDOW = 24
-MAX_ORACLE_WINDOW = 1 << 20  # the cross-check holds two lists of this many verdicts
+MIN_VERIFIED_SIZES = 24  # the least verified_up_to of a walk whose state repeated
 
 
 class CAClass(enum.Enum):
@@ -44,8 +46,8 @@ def scan_violations(tree: MinimizedTree, rule: Rule) -> SizeSet:
 
     A failure at iota 0 (intermediate level: d^m RMTs, balanced) rules out
     every n >= min_level + m; one at 1 <= iota < m (level n-iota, restricted
-    node: d^iota RMTs, balanced) rules out n = level + iota, below m only
-    for a level on a progression of the node's levels.
+    node: d^iota RMTs, balanced) rules out n = level + iota.  The set is
+    exact from m on; `classify` answers below m from the brute-forced table.
     """
     p = rule.params
     failures = NodeKernel(rule).failures
@@ -64,8 +66,7 @@ def scan_violations(tree: MinimizedTree, rule: Rule) -> SizeSet:
             sizes |= -1 << ((below & -below).bit_length() - 1 + p.m)
         for iota in range(1, p.m):
             if failed >> iota & 1:
-                loose = sum(1 << t for t in levels.chains[0] if t + iota < p.m)
-                sizes |= (below & ~loose) << iota
+                sizes |= below << iota
     return SizeSet.periodic(lambda n: bool(sizes >> n & 1), start, period)
 
 
@@ -110,10 +111,10 @@ class TreeEvidence:
 class Classification:
     rule: Rule
     ca_class: CAClass
-    irreversible: SizeSet  # sizes below m are answered by small_n_reversible
-    small_n_reversible: dict[int, bool]
+    irreversible: SizeSet  # every irreversible size n >= 1
     evidence: TreeEvidence | None
-    verified_up_to: int
+    verified_up_to: int  # sizes 1..N compared one by one with the pair-graph walk; 0: skipped
+    verified_all: bool  # the walk's state repeated, so every size was checked
 
     @property
     def expressions(self) -> tuple[IrreversibilityExpression, ...]:
@@ -123,16 +124,15 @@ class Classification:
     def sporadic_irreversible(self) -> tuple[int, ...]:
         return self.irreversible.sporadic
 
+    @property
+    def small_n_reversible(self) -> dict[int, bool]:
+        return {n: n not in self.irreversible for n in range(1, self.rule.params.m)}
+
 
 class OracleMismatchError(Exception):
     """Classifier and pair-graph oracle disagree on some checked size."""
 
-    def __init__(
-        self,
-        rule: Rule,
-        predicted: Sequence[bool],
-        oracle: Sequence[bool],
-    ):
+    def __init__(self, rule: Rule, predicted: Sequence[bool], oracle: Sequence[bool]):
         self.rule = rule
         self.predicted = list(predicted)
         self.oracle = list(oracle)
@@ -143,69 +143,72 @@ class OracleMismatchError(Exception):
         )
 
 
-def classify(rule: Rule, verified_up_to: int = DEFAULT_ORACLE_WINDOW) -> Classification:
-    """Classify a rule and cross-check the verdicts on the oracle window.
+def classify(rule: Rule) -> Classification:
+    """Classify a rule and check its irreversible set against the pair-graph walk.
 
-    When a shortcut decided the class and the pair-graph walk would pass its
-    memory limit, the cross-check is skipped and verified_up_to is 0.
-    A window of 0 skips the cross-check; one outside [0, MAX_ORACLE_WINDOW]
-    is refused.
+    When the walk's state repeats, the two sets are compared whole;
+    otherwise the sizes it walked are compared one by one.  When a shortcut
+    decided the class and the walk would pass its memory limit, the
+    cross-check is skipped and verified_up_to is 0.
     """
-    if not 0 <= verified_up_to <= MAX_ORACLE_WINDOW:
-        bound = ">= 0" if verified_up_to < 0 else f"<= {MAX_ORACLE_WINDOW}"
-        raise ValueError(f"oracle window must be {bound}, got {verified_up_to}")
     p = rule.params
-    small = {n: brute_force_reversible(rule, n) for n in range(1, p.m)}
+    below = {n for n in range(1, p.m) if not brute_force_reversible(rule, n)}
     evidence: TreeEvidence | None = None
 
-    if is_strictly_irreversible(rule):
-        ca_class = CAClass.STRICTLY_IRREVERSIBLE
-        irreversible = SizeSet.of([IrreversibilityExpression.segment(1)])
-    elif not is_balanced_rule(rule):
-        ca_class = CAClass.TRIVIALLY_SEMI_REVERSIBLE
-        irreversible = SizeSet.of([IrreversibilityExpression.segment(p.m)])
+    strict = is_strictly_irreversible(rule)
+    if strict or not is_balanced_rule(rule):
+        # irreversible for every n >= m
+        irreversible = SizeSet.periodic(lambda n: n in below or n >= p.m, p.m, 1)
     else:
         tree = build_minimized(rule, stop_on_violation=True)
         evidence = TreeEvidence(unique_nodes=tree.unique_nodes, height=tree.height)
         if tree.stopped_at is None:
-            irreversible = scan_violations(tree, rule)
+            tail = scan_violations(tree, rule)
         else:
-            irreversible = walk_violations(rule, tree.stop_horizon)
-        if not irreversible and all(small.values()):
-            ca_class = CAClass.REVERSIBLE
-        elif irreversible.cofinite:
-            ca_class = CAClass.TRIVIALLY_SEMI_REVERSIBLE
-        else:
-            ca_class = CAClass.NON_TRIVIALLY_SEMI_REVERSIBLE
+            tail = walk_violations(rule, tree.stop_horizon)
+        irreversible = SizeSet.periodic(
+            lambda n: n in below if n < p.m else n in tail, max(p.m, tail.start), tail.period
+        )
+    if strict:
+        ca_class = CAClass.STRICTLY_IRREVERSIBLE
+    elif not irreversible:
+        ca_class = CAClass.REVERSIBLE
+    elif irreversible.cofinite:
+        ca_class = CAClass.TRIVIALLY_SEMI_REVERSIBLE
+    else:
+        ca_class = CAClass.NON_TRIVIALLY_SEMI_REVERSIBLE
 
-    if verified_up_to >= 1:
-        try:
-            oracle = reversible_by_pair_graph(rule, verified_up_to)
-        except PairGraphLimitError:
-            if evidence is not None:
-                raise
-            verified_up_to = 0
-    result = Classification(
+    try:
+        verdicts, period = reversible_by_pair_graph(rule)
+    except PairGraphLimitError:
+        if evidence is not None:
+            raise
+        verdicts, period = [], 0
+    if period:  # from n = L - P + 1 on the verdicts repeat: the oracle's whole set
+        oracle = SizeSet.periodic(
+            lambda n: n >= 1 and not verdicts[n - 1], len(verdicts) - period + 1, period
+        )
+        last = max(len(verdicts), MIN_VERIFIED_SIZES)
+        if oracle != irreversible:  # list the sizes up to the first that differs
+            last = max(last, next(n for n in count(1) if (n in oracle) != (n in irreversible)))
+        verdicts = [n not in oracle for n in range(1, last + 1)]
+    predicted = [n not in irreversible for n in range(1, len(verdicts) + 1)]
+    if predicted != verdicts:
+        raise OracleMismatchError(rule, predicted, verdicts)
+    return Classification(
         rule=rule,
         ca_class=ca_class,
         irreversible=irreversible,
-        small_n_reversible=small,
         evidence=evidence,
-        verified_up_to=verified_up_to,
+        verified_up_to=len(verdicts),
+        verified_all=period > 0,
     )
-    if verified_up_to >= 1:
-        predicted = [is_reversible_for(result, n) for n in range(1, verified_up_to + 1)]
-        if predicted != oracle:
-            raise OracleMismatchError(rule, predicted, oracle)
-    return result
 
 
 def is_reversible_for(c: Classification, n: int) -> bool:
     """Membership query: is the CA reversible for lattice size n?"""
     if n < 1:
         raise ValueError(f"size must be >= 1, got {n}")
-    if n < c.rule.params.m:
-        return c.small_n_reversible[n]
     return n not in c.irreversible
 
 
@@ -238,4 +241,5 @@ def classification_to_json(c: Classification) -> dict:
             else {"unique_nodes": c.evidence.unique_nodes, "height": c.evidence.height}
         ),
         "verified_up_to": c.verified_up_to,
+        "verified_all": c.verified_all,
     }

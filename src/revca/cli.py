@@ -11,7 +11,6 @@ import json
 import sys
 
 from .classifier import (
-    DEFAULT_ORACLE_WINDOW,
     CAClass,
     Classification,
     OracleMismatchError,
@@ -69,6 +68,8 @@ def _add_format_option(p: argparse.ArgumentParser) -> None:
 
 
 def _params(args: argparse.Namespace) -> RuleParams:
+    if args.left_radius is not None and args.left_radius < 0:
+        raise UsageError(f"--left-radius must be >= 0, got {args.left_radius}")
     l_r = args.left_radius if args.left_radius is not None else -1
     return RuleParams(d=args.states, m=args.neighborhood, l_r=l_r)
 
@@ -87,13 +88,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="full reversibility classification of one rule")
     _add_rule_options(p)
     _add_format_option(p)
-    p.add_argument(
-        "--verified-up-to",
-        type=int,
-        default=DEFAULT_ORACLE_WINDOW,
-        help="cross-check sizes 1..N against the pair-graph oracle "
-        f"(default {DEFAULT_ORACLE_WINDOW})",
-    )
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("check", help="classifier vs oracle verdict for one size")
@@ -164,12 +158,15 @@ def _classification_text(c: Classification) -> list[str]:
         for n, v in sorted(c.small_n_reversible.items())
     )
     lines.append(f"small sizes: {small}")
-    lines.append(f"verified up to: {c.verified_up_to}")
+    if c.verified_all:
+        lines.append("verified: all sizes")
+    else:
+        lines.append(f"verified up to: {c.verified_up_to}")
     return lines
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    c = classify(_rule(args), verified_up_to=args.verified_up_to)
+    c = classify(_rule(args))
     _emit(args, _classification_text(c), classification_to_json(c))
     return 0
 

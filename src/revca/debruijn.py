@@ -13,8 +13,9 @@ Sutner, 1991).  The oracle walks Boolean bitsets of the starts (u, v), u < v
 (a walk through (v, u) mirrors one through (u, v)).  The walk state is
 eventually periodic, and so are the verdicts: the walk stops at the state's
 first repeat when it reaches a fixed point (the common end), and when it
-returns to Brent's checkpoint on a longer cycle, and every larger n is read
-off the cycle.
+returns to Brent's checkpoint on a longer cycle, so its verdicts and period
+decide every n.  A walk that sees no repeat within WALK_STEP_LIMIT steps
+decides only the sizes it walked.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .rulespace import Rule, tuple_of_rmt
 
 # three walk states and the gather buffer together
 PAIR_GRAPH_BYTE_LIMIT = 1 << 28
+# steps the walk takes at most while it waits for its state to repeat
+WALK_STEP_LIMIT = 4096
 
 
 class PairGraphLimitError(ValueError):
@@ -161,16 +164,17 @@ class _PairWalk:
         return not np.count_nonzero(diagonal)
 
 
-def _walk_verdicts(rule: Rule, limit: int) -> tuple[list[bool], int]:
-    """Verdicts for n = 1, 2, ... up to `limit`, stopping when the state repeats.
+def reversible_by_pair_graph(rule: Rule) -> tuple[list[bool], int]:
+    """Reversibility verdicts for n = 1..L from walks in the pair graph, and
+    the period P of the walk state.
 
-    Returns the verdicts and the period of the state sequence, or 0 when no
-    repeat was seen.  With a period P, the verdict at every n past the list
-    equals the one at n - P.
+    The walk stops when its state repeats, or after WALK_STEP_LIMIT steps
+    with P = 0.  With P > 0, the verdict at every n > L equals the one at
+    n - P, so the verdicts decide every size.
     """
     walk = _PairWalk(rule)
     verdicts: list[bool] = []
-    while len(verdicts) < limit:
+    while len(verdicts) < WALK_STEP_LIMIT:
         period = walk.step()
         verdicts.append(walk.injective())
         if period:
@@ -181,22 +185,17 @@ def _walk_verdicts(rule: Rule, limit: int) -> tuple[list[bool], int]:
 def pair_trace_oracle(rule: Rule, n: int) -> bool:
     """True iff the CA is reversible for size n, by walks in the pair graph.
 
-    Takes at most n steps, and stops once the walk state repeats: at its
-    first repeat for a fixed point, at Brent's checkpoint for a longer cycle,
-    after O(transient + period) steps either way.  So a huge n costs no more
-    than the cycle.
+    Reads the verdict off `reversible_by_pair_graph`'s walk, through its
+    period for n past the walk, so a huge n costs no more than the cycle.
+    A size past a walk that found no repeat is refused.
     """
     if n < 1:
         raise ValueError(f"size must be >= 1, got {n}")
-    verdicts, period = _walk_verdicts(rule, n)
+    verdicts, period = reversible_by_pair_graph(rule)
     if n > len(verdicts):
+        if not period:
+            raise ValueError(
+                f"pair-graph walk saw no repeat in {len(verdicts)} steps, so size {n} is undecided"
+            )
         n -= period * -(-(n - len(verdicts)) // period)
     return verdicts[n - 1]
-
-
-def reversible_by_pair_graph(rule: Rule, upto: int) -> list[bool]:
-    """Reversibility verdicts for n = 1..upto from walks in the pair graph."""
-    verdicts, period = _walk_verdicts(rule, upto)
-    while len(verdicts) < upto:
-        verdicts.append(verdicts[-period])
-    return verdicts

@@ -1,6 +1,7 @@
 import pytest
 
-from revca.rulespace import RuleParams, parse_rule, rule_from_decimal
+from revca.debruijn import reversible_by_pair_graph
+from revca.rulespace import Rule, RuleParams, parse_rule, rule_from_decimal, tuple_of_rmt
 
 # paper anchors used across the suite
 FIG2_RULE = "012012120012210102201021102"  # balanced 3-state rule, reversible at n=3
@@ -46,3 +47,22 @@ def eca(value: int):
 
 def rule33(text: str):
     return parse_rule(text, RuleParams(d=3, m=3))
+
+
+def linear_rule(p: int, coeffs: tuple[int, ...]) -> Rule:
+    """The rule sum_k coeffs[k] * x_k mod p over the neighborhood x_-l .. x_r."""
+    params = RuleParams(p, len(coeffs))
+    table = tuple(
+        sum(c * x for c, x in zip(coeffs, tuple_of_rmt(r, params))) % p
+        for r in range(params.table_size)
+    )
+    return Rule(params, table)
+
+
+def pair_graph_verdicts(rule, upto: int) -> list[bool]:
+    """The pair-graph walk's verdicts for n = 1..upto, read on through its period."""
+    verdicts, period = reversible_by_pair_graph(rule)
+    assert period or len(verdicts) >= upto, "the walk saw no repeat"
+    while len(verdicts) < upto:
+        verdicts.append(verdicts[-period])
+    return verdicts[:upto]

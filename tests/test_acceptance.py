@@ -17,7 +17,6 @@ from revca.classifier import (
     is_reversible_for,
     reversible_sizes,
 )
-from revca.debruijn import reversible_by_pair_graph
 from revca.dynamics import (
     brute_force_reversible,
     config_from_code,
@@ -37,7 +36,7 @@ from revca.rulespace import (
 )
 from revca.rtree import build_full_tree, edge_counts_ok
 
-from conftest import FIG2_RULE, FIG3B_RULE, eca, rule33
+from conftest import FIG2_RULE, FIG3B_RULE, eca, pair_graph_verdicts, rule33
 
 ECA = RuleParams(2, 3)
 
@@ -113,7 +112,7 @@ def test_acceptance_3_expressions_and_size_sets(capsys):
         rule = eca(v)
         c = classify(rule)
         sizes = set(reversible_sizes(c, 30))
-        oracle = reversible_by_pair_graph(rule, 30)
+        oracle = pair_graph_verdicts(rule, 30)
         for n in range(1, 31):
             assert (n in sizes) == oracle[n - 1], (v, n)
             if n <= 14:
@@ -219,8 +218,8 @@ def test_acceptance_6_oracle_equivalence(capsys):
     for i in range(500):
         params = families[i % len(families)]
         rule = rule_from_decimal(rng.randrange(params.d**params.table_size), params)
-        c = classify(rule, verified_up_to=12)  # raises on any oracle mismatch
-        pair = reversible_by_pair_graph(rule, 12)
+        c = classify(rule)  # raises on any oracle mismatch
+        pair = pair_graph_verdicts(rule, 12)
         for n in range(1, 13):
             verdict = is_reversible_for(c, n)
             assert verdict == pair[n - 1], (rule, n)

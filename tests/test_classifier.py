@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revca import classifier
+from revca import classifier, debruijn
 from revca.classifier import (
     CAClass,
     IrreversibilityExpression,
+    OracleMismatchError,
     SizeSet,
     classification_to_json,
     classify,
@@ -17,7 +18,6 @@ from revca.classifier import (
     scan_violations,
     walk_violations,
 )
-from revca.debruijn import reversible_by_pair_graph
 from revca.dynamics import brute_force_reversible
 from revca.mintree import build_minimized, exact_occurrences
 from revca.rtree import build_full_tree, node_violates
@@ -29,7 +29,11 @@ from revca.rulespace import (
     rule_from_decimal,
 )
 
-from conftest import eca, rule33
+from conftest import eca, linear_rule, rule33
+
+
+# x-2 + x0 + x3 over GF(2): irreversible exactly at 31 | n
+LINEAR_2_6 = linear_rule(2, (1, 0, 1, 0, 0, 1))
 
 
 def expr(min_n, modulus):
@@ -209,7 +213,8 @@ class TestScan:
     )
     def test_matches_undeduplicated_scan(self, rule):
         tree = build_minimized(rule)
-        assert scan_violations(tree, rule) == SizeSet.of(*undeduplicated_scan(tree, rule))
+        expected = SizeSet.of(*undeduplicated_scan(tree, rule))
+        assert from_m(scan_violations(tree, rule), rule) == from_m(expected, rule)
 
     @pytest.mark.long
     def test_long_matches_undeduplicated_scan_on_whole_families(self):
@@ -222,10 +227,17 @@ class TestScan:
                 rule = rule_from_decimal(value, p)
                 tree = build_minimized(rule, stop_on_violation=True)
                 if tree.stopped_at is None:
-                    got = scan_violations(tree, rule)
-                    assert got == SizeSet.of(*undeduplicated_scan(tree, rule)), rule
+                    got = from_m(scan_violations(tree, rule), rule)
+                    expected = SizeSet.of(*undeduplicated_scan(tree, rule))
+                    assert got == from_m(expected, rule), rule
                     scanned += 1
         assert scanned > 0
+
+
+def from_m(sizes, rule):
+    """The members n >= m of a size set: the part the scan is exact on."""
+    m = rule.params.m
+    return SizeSet.periodic(lambda n: n >= m and n in sizes, max(m, sizes.start), sizes.period)
 
 
 def undeduplicated_scan(tree, rule):
@@ -331,7 +343,8 @@ class TestClassify:
     def test_nontrivial_expressions(self):
         c = classify(rule33("012210210102012102210210012"))
         assert c.ca_class is CAClass.NON_TRIVIALLY_SEMI_REVERSIBLE
-        assert c.expressions == (expr(3, 3), expr(4, 2))
+        # brute force finds n = 2 irreversible, so the even sizes start there
+        assert c.expressions == (expr(2, 2), expr(3, 3))
 
     def test_unbalanced_shortcut(self):
         c = classify(parse_rule("021122011", RuleParams(3, 2)))
@@ -339,21 +352,37 @@ class TestClassify:
         assert c.expressions == (IrreversibilityExpression.segment(2),)
         assert c.evidence is None
 
-    def test_rejects_negative_oracle_window(self):
-        with pytest.raises(ValueError, match="oracle window must be >= 0, got -1"):
-            classify(eca(75), verified_up_to=-1)
-        assert classify(eca(75), verified_up_to=0).verified_up_to == 0
+    def test_whole_set_checked_past_24(self, monkeypatch):
+        # LINEAR_2_6's walk repeats (period 31) after 62 steps.  A scan that
+        # loses n = 62 is caught: the whole sets are compared, not 24 sizes.
+        rule = LINEAR_2_6
+        c = classify(rule)
+        assert str(c.irreversible) == "n ≡ 0 (mod 31), n ≥ 31"
+        assert (c.verified_up_to, c.verified_all) == (62, True)
+        scan = classifier.scan_violations
 
-    def test_rejects_oracle_window_past_cap(self, monkeypatch):
-        # refused before any work: not even the small sizes are brute-forced
-        def unreachable(*args):
-            raise AssertionError("classify did work before checking the window")
+        def drops_62(tree, rule):
+            sizes = scan(tree, rule)
+            return SizeSet.periodic(lambda n: n != 62 and n in sizes, 63, sizes.period)
 
-        monkeypatch.setattr(classifier, "brute_force_reversible", unreachable)
-        window = classifier.MAX_ORACLE_WINDOW
-        message = f"oracle window must be <= {window}, got {window + 1}"
-        with pytest.raises(ValueError, match=message):
-            classify(eca(75), verified_up_to=window + 1)
+        monkeypatch.setattr(classifier, "scan_violations", drops_62)
+        with pytest.raises(OracleMismatchError, match=r"at n = \[62\]") as raised:
+            classify(rule)
+        assert len(raised.value.predicted) == 62
+
+    def test_capped_walk_checks_sizes_one_by_one(self, monkeypatch):
+        monkeypatch.setattr(debruijn, "WALK_STEP_LIMIT", 40)
+        c = classify(LINEAR_2_6)
+        assert (c.verified_up_to, c.verified_all) == (40, False)
+        assert str(c.irreversible) == "n ≡ 0 (mod 31), n ≥ 31"
+
+    @pytest.mark.long
+    def test_long_period_127_verified_whole(self):
+        # x-3 + x-2 + x4 over GF(2): irreversible exactly at 127 | n, which
+        # the walk confirms after 254 steps
+        c = classify(linear_rule(2, (1, 1, 0, 0, 0, 0, 0, 1)))
+        assert str(c.irreversible) == "n ≡ 0 (mod 127), n ≥ 127"
+        assert (c.verified_up_to, c.verified_all) == (254, True)
 
     def test_strict_covers_everything(self):
         c = classify(eca(90))
@@ -447,21 +476,19 @@ class TestClassProperties:
 
     def test_trichotomy_and_strictness(self):
         for rule in self.sample_rules(60):
-            c = classify(rule, verified_up_to=8)
+            c = classify(rule)
             assert isinstance(c.ca_class, CAClass)
             strict = c.ca_class is CAClass.STRICTLY_IRREVERSIBLE
             assert strict == (not is_reversible_for(c, 1))
 
     def test_reversible_iff_no_irreversible_size(self):
         for rule in self.sample_rules(40, seed=31):
-            c = classify(rule, verified_up_to=8)
+            c = classify(rule)
             if c.ca_class is CAClass.REVERSIBLE:
                 assert not c.expressions and not c.sporadic_irreversible
                 assert all(c.small_n_reversible.values())
 
-    def test_expressions_below_m_name_only_irreversible_sizes(self):
-        # below m the brute-forced table answers; the expressions may name
-        # some of its irreversible sizes, never a reversible one
+    def test_set_below_m_is_the_brute_table(self):
         rng = random.Random(12)
         families = [
             (RuleParams(2, 3), range(2**8)),
@@ -470,16 +497,25 @@ class TestClassProperties:
         ]
         for params, values in families:
             for value in values:
-                c = classify(rule_from_decimal(value, params), verified_up_to=0)
-                named = {n for n in range(1, params.m) if n in c.irreversible}
-                assert named <= {n for n, ok in c.small_n_reversible.items() if not ok}
-        # both rules are irreversible exactly at 3 | n, but only the first
-        # names n = 3
-        params = RuleParams(2, 4)
-        for text, named in (("0000001011111101", True), ("0000100011110111", False)):
-            c = classify(parse_rule(text, params))
-            assert not c.small_n_reversible[3]
-            assert (3 in c.irreversible) is named
+                rule = rule_from_decimal(value, params)
+                c = classify(rule)
+                assert {n for n in range(1, params.m) if n in c.irreversible} == {
+                    n for n in range(1, params.m) if not brute_force_reversible(rule, n)
+                }, rule
+
+    @pytest.mark.parametrize(
+        "texts, printed",
+        [
+            (("0000001011111101", "0000100011110111"), "n ≡ 0 (mod 3), n ≥ 3"),
+            (("0000110011110011", "0010110100101101"), "n ≡ 0 (mod 2), n ≥ 2"),
+        ],
+        ids=["mod3", "mod2"],
+    )
+    def test_equal_sets_print_alike(self, texts, printed):
+        # the two rules of each pair are irreversible at the same sizes,
+        # some of them below m = 4
+        for text in texts:
+            assert expressions_text(classify(parse_rule(text, RuleParams(2, 4)))) == printed
 
     def test_split_invariance(self):
         # the classification never depends on the left/right anchor split
@@ -508,6 +544,7 @@ class TestJsonSchema:
             "small_n_reversible": {"1": True, "2": False},
             "tree": {"unique_nodes": 21, "height": 5},
             "verified_up_to": 24,
+            "verified_all": True,
         }
 
     def test_strict_has_no_tree(self):
@@ -531,7 +568,7 @@ def test_mislabeled_table_row_is_ternary():
 def test_minimal_nontrivial_eca_rules():
     got = set()
     for value in range(256):
-        c = classify(rule_from_decimal(value, RuleParams(2, 3)), verified_up_to=0)
+        c = classify(rule_from_decimal(value, RuleParams(2, 3)))
         if c.ca_class is CAClass.NON_TRIVIALLY_SEMI_REVERSIBLE:
             got.add(minimal_decimal(eca(value)))
     assert got == {45, 105, 150, 154}

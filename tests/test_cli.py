@@ -7,12 +7,14 @@ from pathlib import Path
 import pytest
 
 import revca
-from revca import mintree
-from revca.classifier import MAX_ORACLE_WINDOW, OracleMismatchError, classify
+from revca import debruijn, mintree
+from revca.classifier import OracleMismatchError, classify
 from revca.cli import main
 from revca.debruijn import PAIR_GRAPH_BYTE_LIMIT, _walk_bytes
 from revca.mintree import FULL_TREE_LIMIT
 from revca.rulespace import Rule, RuleParams, rule_from_decimal, wolfram_decimal
+
+from conftest import linear_rule
 
 
 def run(capsys, *argv):
@@ -83,26 +85,14 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--states", "2")
         assert code == 1
 
-    def test_negative_oracle_window_exits_1(self, capsys):
-        code, out, err = run(
-            capsys,
-            "classify", "--states", "2", "--neighborhood", "3", "--rule", "75",
-            "--verified-up-to", "-5",
-        )
-        assert code == 1
-        assert out == ""
-        assert err == "error: oracle window must be >= 0, got -5\n"
-
-    def test_oracle_window_past_cap_exits_1(self, capsys):
-        code, out, err = run(
-            capsys,
-            "classify", "--states", "2", "--neighborhood", "3", "--rule", "75",
-            "--verified-up-to", str(MAX_ORACLE_WINDOW + 1),
-        )
-        assert code == 1
-        assert out == ""
-        window = MAX_ORACLE_WINDOW
-        assert err == f"error: oracle window must be <= {window}, got {window + 1}\n"
+    def test_verified_all_sizes(self, capsys):
+        args = ("classify", "--states", "2", "--neighborhood", "3", "--rule", "75")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert "verified: all sizes" in out.splitlines()
+        code, out, _ = run(capsys, *args, "--format", "json")
+        payload = json.loads(out)
+        assert (payload["verified_up_to"], payload["verified_all"]) == (24, True)
 
     def test_deterministic_output(self, capsys):
         args = ("classify", "--states", "2", "--neighborhood", "3", "--rule", "105",
@@ -123,7 +113,7 @@ class TestClassify:
         assert code == 0 and err == ""
         payload = json.loads(out)
         assert payload["class"] == ca_class
-        assert payload["verified_up_to"] == 0
+        assert (payload["verified_up_to"], payload["verified_all"]) == (0, False)
         code, out, _ = run(capsys, *args)
         assert code == 0
         assert "verified up to: 0" in out.splitlines()
@@ -193,6 +183,21 @@ class TestCheckAndOracle:
         assert err.startswith("error: pair-graph oracle") and "limit" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_oracle_pairgraph_past_capped_walk_exits_1(self, capsys, monkeypatch):
+        # x-2 + x0 + x3 over GF(2) repeats only after 62 steps
+        monkeypatch.setattr(debruijn, "WALK_STEP_LIMIT", 40)
+        rule = str(wolfram_decimal(linear_rule(2, (1, 0, 1, 0, 0, 1))))
+        code, out, err = run(
+            capsys,
+            "oracle", "--states", "2", "--neighborhood", "6", "--rule", rule,
+            "--n", "100", "--method", "pairgraph",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: pair-graph walk saw no repeat in 40 steps, so size 100 is undecided\n"
+        )
+
     def test_oracle_out_of_memory_exits_1(self, capsys, monkeypatch):
         import revca.cli as cli
 
@@ -234,8 +239,8 @@ class TestEnumerate:
         assert [row["decimal"] for row in payload["rules"]] == list(range(256))
 
     def test_eca_census_golden(self, capsys):
-        # the whole ECA census as JSON, written before the early-stop sizes
-        # were read from one level walk
+        # the whole ECA census as JSON, regenerated when the irreversible set
+        # took its sizes below m from the brute-forced table (56 rules changed)
         code, out, _ = run(
             capsys,
             "enumerate", "--states", "2", "--neighborhood", "3", "--format", "json",
@@ -290,7 +295,7 @@ class TestEnumerate:
         params = RuleParams(2, 2)
         for row in payload["rules"]:
             rule = rule_from_decimal(row["decimal"], params)
-            c = classify(rule, verified_up_to=0)
+            c = classify(rule)
             assert c.ca_class.value == row["class"]
             for n in range(1, 11):
                 assert is_reversible_for(c, n) == brute_force_reversible(rule, n)
@@ -368,7 +373,7 @@ class TestExitCodes:
     def test_oracle_mismatch_maps_to_2(self, capsys, monkeypatch):
         import revca.cli as cli
 
-        def explode(rule, verified_up_to=24):
+        def explode(rule):
             raise OracleMismatchError(rule, [True, False], [True, True])
 
         monkeypatch.setattr(cli, "classify", explode)
@@ -414,6 +419,17 @@ class TestExitCodes:
         )
         assert code == 0
         assert json.loads(out)["class"] == "NonTriviallySemiReversible"
+
+    @pytest.mark.parametrize("radius", ["-1", "-2"])
+    def test_negative_left_radius_exits_1(self, capsys, radius):
+        code, out, err = run(
+            capsys,
+            "classify", "--states", "2", "--neighborhood", "3", "--rule", "75",
+            "--left-radius", radius,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --left-radius must be >= 0, got {radius}\n"
 
 
 class TestModuleEntryPoint:

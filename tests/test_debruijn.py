@@ -1,26 +1,27 @@
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revca import debruijn
 from revca.debruijn import (
     PAIR_GRAPH_BYTE_LIMIT,
     PairGraphLimitError,
     _PairWalk,
     _walk_bytes,
-    _walk_verdicts,
     export_debruijn_dot,
     pair_trace_oracle,
     reversible_by_pair_graph,
 )
 from revca.dynamics import brute_force_reversible, rmt_sequence
-from revca.rulespace import Rule, RuleParams, parse_rule, rule_from_decimal, tuple_of_rmt
+from revca.rulespace import Rule, RuleParams, parse_rule, rule_from_decimal
 
-from conftest import FIG2_RULE, eca, rule33
+from conftest import FIG2_RULE, eca, linear_rule, pair_graph_verdicts, rule33
 
 
 def small_rule(draw):
@@ -51,16 +52,6 @@ def exact_pair_traces(rule: Rule, upto: int) -> list[int]:
         power = power @ matrix
         traces.append(int(np.trace(power)))
     return traces
-
-
-def linear_rule(p: int, coeffs: tuple[int, ...]) -> Rule:
-    """The rule sum_k coeffs[k] * x_k mod p over the neighborhood x_-l .. x_r."""
-    params = RuleParams(p, len(coeffs))
-    table = tuple(
-        sum(c * x for c, x in zip(coeffs, tuple_of_rmt(r, params))) % p
-        for r in range(params.table_size)
-    )
-    return Rule(params, table)
 
 
 SHAPES = [
@@ -111,20 +102,23 @@ HUGE = 10**9 + 1
 
 
 def assert_walk_matches_reference(rule, limit, reference=None, huge=False):
-    """The walk's verdicts and period against `reference_walk` over `limit` steps.
+    """The walk's verdicts and period, capped at `limit` steps, against
+    `reference_walk` over `limit` steps.
 
     With `huge`, also `pair_trace_oracle` at the sizes of one period ending
     at HUGE, read back from the reference through the period.
     """
     ref, states = reference or reference_walk(rule, limit)
     ref = ref[:limit]
-    verdicts, period = _walk_verdicts(rule, limit)
+    with mock.patch.object(debruijn, "WALK_STEP_LIMIT", limit):
+        verdicts, period = reversible_by_pair_graph(rule)
     t = len(verdicts)
     assert verdicts == ref[:t]
-    assert reversible_by_pair_graph(rule, limit) == ref
     if not period:
         assert t == limit
         return
+    # every verdict past the walk repeats the one a period earlier
+    assert all(ref[n] == ref[n - period] for n in range(t, limit))
     # the repeat is real, the period is the least, and a fixed point is seen
     # at its first repeat
     assert np.array_equal(states[t], states[t - period])
@@ -278,18 +272,18 @@ class TestPairOracle:
     def test_agrees_with_exact_trace(self, rule):
         d = rule.params.d
         expected = [t == d**n for n, t in enumerate(exact_pair_traces(rule, 10), start=1)]
-        assert reversible_by_pair_graph(rule, 10) == expected
+        assert pair_graph_verdicts(rule, 10) == expected
 
     @given(rules)
     @settings(max_examples=25, deadline=None)
     def test_agrees_with_brute_force(self, rule):
-        verdicts = reversible_by_pair_graph(rule, 8)
+        verdicts = pair_graph_verdicts(rule, 8)
         for n in range(1, 9):
             assert verdicts[n - 1] == brute_force_reversible(rule, n)
 
     def test_single_size_matches_window(self):
         rule = rule33("012210210102012102210210012")
-        verdicts = reversible_by_pair_graph(rule, 40)
+        verdicts = pair_graph_verdicts(rule, 40)
         for n in (1, 2, 7, 13, 20, 33, 40):
             assert pair_trace_oracle(rule, n) == verdicts[n - 1]
 
@@ -306,14 +300,14 @@ class TestWalkStop:
     def test_fixed_point_seen_at_first_repeat(self):
         # ECA 250's walk state stops changing at step 4 and is seen at step 5;
         # Brent's checkpoints alone (after steps 1, 3, 7) see it at step 8
-        verdicts, period = _walk_verdicts(eca(250), 100)
+        verdicts, period = reversible_by_pair_graph(eca(250))
         assert (len(verdicts), period) == (5, 1)
         assert_walk_matches_reference(eca(250), 100, huge=True)
 
     def test_period_12_cycle(self):
         # the longest period in the (2,4) family, seen at Brent's checkpoint
         rule = rule_from_decimal(727, RuleParams(2, 4))
-        verdicts, period = _walk_verdicts(rule, 100)
+        verdicts, period = reversible_by_pair_graph(rule)
         assert (len(verdicts), period) == (27, 12)
         assert_walk_matches_reference(rule, 100, huge=True)
 
@@ -341,13 +335,26 @@ class TestLinearRules:
     )
     def test_window(self, p, coeffs):
         expected = [circulant_reversible(coeffs, p, n) for n in range(1, 25)]
-        assert reversible_by_pair_graph(linear_rule(p, coeffs), 24) == expected
+        assert pair_graph_verdicts(linear_rule(p, coeffs), 24) == expected
 
     def test_huge_sizes(self):
         coeffs = (1, 0, 1, 0, 0, 1)
         rule = linear_rule(2, coeffs)
         for n in (31 * 10**6, 31 * 10**6 + 1, 10**9 + 7):
             assert pair_trace_oracle(rule, n) == circulant_reversible(coeffs, 2, n)
+
+    def test_size_past_a_capped_walk_is_refused(self, monkeypatch):
+        # x-2 + x0 + x3 repeats (period 31) after 62 steps; a 40-step cap
+        # sees no repeat, so only sizes up to 40 are decided
+        rule = linear_rule(2, (1, 0, 1, 0, 0, 1))
+        verdicts, period = reversible_by_pair_graph(rule)
+        assert (len(verdicts), period) == (62, 31)
+        monkeypatch.setattr(debruijn, "WALK_STEP_LIMIT", 40)
+        assert reversible_by_pair_graph(rule) == (verdicts[:40], 0)
+        assert not pair_trace_oracle(rule, 31)
+        assert pair_trace_oracle(rule, 40)
+        with pytest.raises(ValueError, match="no repeat in 40 steps, so size 41 is undecided"):
+            pair_trace_oracle(rule, 41)
 
     def test_criterion_spot_values(self):
         # x-1 + x0 + x1 over GF(2) is ECA 150: irreversible exactly for 3 | n
@@ -392,7 +399,7 @@ class TestWalkMemory:
         tracemalloc.start()
         try:
             with pytest.raises(PairGraphLimitError, match=str(need)):
-                reversible_by_pair_graph(rule, 24)
+                reversible_by_pair_graph(rule)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -571,7 +571,7 @@ class TestReconstruction:
         rules = [rule_from_decimal(rng.randrange(256), RuleParams(2, 3)) for _ in range(20)]
         rules += [rule_from_decimal(rng.randrange(3**9), RuleParams(3, 2)) for _ in range(10)]
         for rule in rules:
-            c = classify(rule, verified_up_to=0)
+            c = classify(rule)
             for n in range(rule.params.m, 12):
                 assert is_reversible_for(c, n) == build_full_tree(rule, n).complete, (rule, n)
 
