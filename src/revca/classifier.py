@@ -1,18 +1,21 @@
 """End-to-end reversibility classification.
 
-Pipeline: the constant-RMT shortcut settles strictly irreversible rules, the
-balance shortcut settles unbalanced ones, and every other rule gets a
-minimized reachability tree.  One placement rule turns its nodes' condition
-failures into irreversible sizes, read on a full tree from each node's exact
-levels (`scan_violations`) and below an early stop's horizon from one walk
-over the unrolled levels (`walk_violations`).  The result is one canonical
-SizeSet over every n >= 1: the brute-forced small-size table answers below
-m, the tree's set or the shortcut's from m on.
+Pipeline: the constant-RMT shortcut settles strictly irreversible rules at
+every n >= 1, the balance shortcut settles unbalanced ones, and every other
+rule gets a minimized reachability tree.  One placement rule turns its
+nodes' condition failures into irreversible sizes, read on a full tree from
+each node's exact levels (`scan_violations`) and below an early stop's
+horizon from one walk over the unrolled levels (`walk_violations`).  The
+result is one canonical SizeSet over every n >= 1: for other rules n = 1
+is reversible (its configurations are uniform), the brute-forced
+small-size table answers for 1 < n < m, and the tree's set or the balance
+shortcut's from m on.
 
 Every classification is cross-checked against the pair-graph oracle before
 it is returned: the walk's verdicts and period give the oracle's whole set,
-compared by value.  A disagreement raises OracleMismatchError instead of
-silently shipping either verdict.
+compared by value; per-size lists are built only to name the sizes of a
+disagreement or for a walk that saw no repeat.  A disagreement raises
+OracleMismatchError instead of silently shipping either verdict.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ def scan_violations(tree: MinimizedTree, rule: Rule) -> SizeSet:
         for iota in range(1, p.m):
             if failed >> iota & 1:
                 sizes |= below << iota
-    return SizeSet.periodic(lambda n: bool(sizes >> n & 1), start, period)
+    return SizeSet.periodic(sizes, start, period)
 
 
 def walk_violations(rule: Rule, horizon: int) -> SizeSet:
@@ -98,7 +101,7 @@ def walk_violations(rule: Rule, horizon: int) -> SizeSet:
         level = {kernel.child(gamma, x) for gamma in level for x in range(p.d)}
         if len(level) > DEFAULT_TREE_LIMIT:
             raise ValueError(f"unrolled tree level {t + 1} exceeds {DEFAULT_TREE_LIMIT} nodes")
-    return SizeSet.periodic(lambda n: n >= horizon or (n >= p.m and n not in todo), horizon, 1)
+    return SizeSet.periodic((-1 << min(p.m, horizon)) ^ sum(1 << n for n in todo), horizon, 1)
 
 
 @dataclass(frozen=True)
@@ -152,23 +155,24 @@ def classify(rule: Rule) -> Classification:
     cross-check is skipped and verified_up_to is 0.
     """
     p = rule.params
-    below = {n for n in range(1, p.m) if not brute_force_reversible(rule, n)}
     evidence: TreeEvidence | None = None
-
     strict = is_strictly_irreversible(rule)
-    if strict or not is_balanced_rule(rule):
-        # irreversible for every n >= m
-        irreversible = SizeSet.periodic(lambda n: n in below or n >= p.m, p.m, 1)
-    else:
-        tree = build_minimized(rule, stop_on_violation=True)
-        evidence = TreeEvidence(unique_nodes=tree.unique_nodes, height=tree.height)
-        if tree.stopped_at is None:
-            tail = scan_violations(tree, rule)
+    if strict:  # two uniform configurations share a successor at every n >= 1
+        irreversible = SizeSet.periodic(-2, 1, 1)
+    else:  # at n = 1 every configuration is uniform, so only strict rules fail there
+        below = sum(1 << n for n in range(2, p.m) if not brute_force_reversible(rule, n))
+        if not is_balanced_rule(rule):  # irreversible for every n >= m
+            irreversible = SizeSet.periodic(below | -1 << p.m, p.m, 1)
         else:
-            tail = walk_violations(rule, tree.stop_horizon)
-        irreversible = SizeSet.periodic(
-            lambda n: n in below if n < p.m else n in tail, max(p.m, tail.start), tail.period
-        )
+            tree = build_minimized(rule, stop_on_violation=True)
+            evidence = TreeEvidence(unique_nodes=tree.unique_nodes, height=tree.height)
+            if tree.stopped_at is None:
+                tail = scan_violations(tree, rule)
+            else:
+                tail = walk_violations(rule, tree.stop_horizon)
+            start = max(p.m, tail.start)
+            below |= sum(1 << n for n in range(p.m, start + tail.period) if n in tail)
+            irreversible = SizeSet.periodic(below, start, tail.period)
     if strict:
         ca_class = CAClass.STRICTLY_IRREVERSIBLE
     elif not irreversible:
@@ -184,23 +188,26 @@ def classify(rule: Rule) -> Classification:
         if evidence is not None:
             raise
         verdicts, period = [], 0
+    checked = len(verdicts)
     if period:  # from n = L - P + 1 on the verdicts repeat: the oracle's whole set
         oracle = SizeSet.periodic(
-            lambda n: n >= 1 and not verdicts[n - 1], len(verdicts) - period + 1, period
+            sum(1 << n for n, v in enumerate(verdicts, 1) if not v), checked - period + 1, period
         )
-        last = max(len(verdicts), MIN_VERIFIED_SIZES)
+        checked = max(checked, MIN_VERIFIED_SIZES)
         if oracle != irreversible:  # list the sizes up to the first that differs
-            last = max(last, next(n for n in count(1) if (n in oracle) != (n in irreversible)))
-        verdicts = [n not in oracle for n in range(1, last + 1)]
-    predicted = [n not in irreversible for n in range(1, len(verdicts) + 1)]
-    if predicted != verdicts:
-        raise OracleMismatchError(rule, predicted, verdicts)
+            first = next(n for n in count(1) if (n in oracle) != (n in irreversible))
+            checked = max(checked, first)
+            verdicts = [n not in oracle for n in range(1, checked + 1)]
+    if not period or oracle != irreversible:
+        predicted = [n not in irreversible for n in range(1, checked + 1)]
+        if predicted != verdicts:
+            raise OracleMismatchError(rule, predicted, verdicts)
     return Classification(
         rule=rule,
         ca_class=ca_class,
         irreversible=irreversible,
         evidence=evidence,
-        verified_up_to=len(verdicts),
+        verified_up_to=checked,
         verified_all=period > 0,
     )
 

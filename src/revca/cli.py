@@ -175,7 +175,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     rule = _rule(args)
     c = classify(rule)
     verdict = is_reversible_for(c, args.n)
-    oracle = pair_trace_oracle(rule, args.n)
+    # classify raised on any size its cross-check decided and disagreed on
+    decided = c.verified_all or args.n <= c.verified_up_to
+    oracle = verdict if decided else pair_trace_oracle(rule, args.n)
     word = lambda b: "reversible" if b else "irreversible"
     lines = [
         f"n = {args.n}",

@@ -15,7 +15,8 @@ eventually periodic, and so are the verdicts: the walk stops at the state's
 first repeat when it reaches a fixed point (the common end), and when it
 returns to Brent's checkpoint on a longer cycle, so its verdicts and period
 decide every n.  A walk that sees no repeat within WALK_STEP_LIMIT steps
-decides only the sizes it walked.
+decides only the sizes it walked.  A rule's edges are selected from every
+candidate RMT pair, cached per shape with the node it starts at.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .rulespace import Rule, tuple_of_rmt
 
-# three walk states and the gather buffer together
+# every buffer of one walk together (see _walk_bytes)
 PAIR_GRAPH_BYTE_LIMIT = 1 << 28
 # steps the walk takes at most while it waits for its state to repeat
 WALK_STEP_LIMIT = 4096
@@ -55,35 +56,40 @@ def export_debruijn_dot(rule: Rule) -> str:
 
 def _walk_bytes(rule: Rule) -> int:
     """Bytes of every buffer the walk holds, at most: three states (steps t
-    and t-1, and Brent's checkpoint) and the gather buffer."""
+    and t-1, and Brent's checkpoint), the gather buffer, and the diagonal
+    buffer with its zero twin."""
     w = rule.params.node_width
-    words = -(-(w * (w - 1) // 2) // 64)
+    starts = w * (w - 1) // 2
     # one edge per equal-output RMT pair, plus at most one edge from the zero
     # row into each off-diagonal node that has no incoming edge
-    edges = sum(c * c for c in np.bincount(rule.table).tolist()) + w * w - w
-    return (3 * (w * w + 1) + edges) * words * 8
+    edges = sum(rule.table.count(x) ** 2 for x in set(rule.table)) + w * w - w
+    return (3 * (w * w + 1) + edges) * -(-starts // 64) * 8 + 2 * starts * 8
 
 
 @lru_cache(maxsize=64)
-def _shape(d: int, w: int) -> tuple[np.ndarray, ...]:
-    """The walk's rule-independent arrays for d states and w = d^(m-1) words.
+def _shape(d: int, w: int) -> tuple:
+    """The walk's rule-independent tables for d states and w = d^(m-1) words.
 
-    Edge (a*w + tr, b*w + ts) starts at (a*h + tr//d, b*h + ts//d), h = w/d:
-    one term read by target (tr, ts), one by RMT pair (a, b).  The extra pair
-    d^2 stands for the edge from the zero row; its term is past the last
-    node, which the clipped gather reads as the zero row.  Start k = (u, v),
-    u < v, owns bit k % 64 of word k // 64 in row u*w + v.
+    Candidate edge (tr, ts, a*d + b) into pair node tr*w + ts joins RMTs
+    first[tr, a*d + b] = a*w + tr and second[ts, a*d + b] = b*w + ts and
+    starts at the pair node of their leading words (the source table);
+    candidate (tr, ts, d^2) is the edge from the zero row, past the last
+    node.  The tables are uint16: a walk within PAIR_GRAPH_BYTE_LIMIT has
+    d^m <= w^2 < 2^16 (and d < 2^8).  Start (u, v), u < v, number k, owns
+    bit k % 64 of word k // 64 in row u*w + v of the start state.
     """
-    h = w // d
-    word = np.arange(w)
-    by_target = ((word // d)[:, None] * w + word // d).ravel()
-    digit = np.arange(d) * h
-    by_pair = np.append((digit[:, None] * w + digit).ravel(), w * w)
-    u, v = np.nonzero(word[:, None] < word)
+    nodes, word, pair = w * w, np.arange(w)[:, None], np.arange(d * d)
+    first = (pair // d * w + word).astype(np.uint16)
+    second = (pair % d * w + word).astype(np.uint16)
+    src = np.full((w, w, d * d + 1), nodes, dtype=np.uint16)
+    np.add((first // d * w)[:, None], second // d, out=src[..., :-1])
+    u, v = np.nonzero(word < word.T)
     k = np.arange(u.size)
     own = (u * w + v) * -(-u.size // 64) + k // 64
     bits = np.left_shift(np.uint64(1), (k % 64).astype(np.uint64))
-    return np.arange(w * w), by_target, by_pair, own, bits
+    start = np.zeros((nodes + 1) * -(-u.size // 64), dtype=np.uint64)
+    start[own] = bits
+    return src, first, second, own, bits, start.tobytes()
 
 
 class _PairWalk:
@@ -101,34 +107,34 @@ class _PairWalk:
         if need > PAIR_GRAPH_BYTE_LIMIT:
             raise PairGraphLimitError(
                 f"pair-graph oracle for d={p.d}, m={p.m} needs {need} bytes of walk "
-                f"states and gather buffer, over the limit {PAIR_GRAPH_BYTE_LIMIT}"
+                f"buffers, over the limit {PAIR_GRAPH_BYTE_LIMIT}"
             )
-        d, w = p.d, p.node_width
-        nodes = w * w
-        node_ids, by_target, by_pair, self._own, self._bits = _shape(d, w)
-        # same[tr*w + ts, a*d + b]: do RMTs a*w + tr and b*w + ts share an
-        # output?  Edge (r, s) ends at (r mod w, s mod w), so the flat order
-        # of the true entries sorts the edges by target.
-        cols = np.asarray(rule.table).reshape(d, w).T
-        same = (cols[:, None, :, None] == cols[None, :, None, :]).reshape(nodes, d * d)
-        empty = ~same.any(axis=1)
-        edges = np.concatenate((same, empty[:, None]), axis=1).ravel().nonzero()[0]
-        target, pair = np.divmod(edges, d * d + 1)
-        self.src = by_target.take(target) + by_pair.take(pair)
-        self.offsets = target.searchsorted(node_ids)
+        w = p.node_width
+        src, first, second, self._own, self._bits, start = _shape(p.d, w)
+        # an edge per candidate whose two RMTs share an output, and one from
+        # the zero row into each node that has none; the row-major order of
+        # the candidates sorts the edges by target
+        table = np.asarray(rule.table, dtype=np.uint8)
+        edge = np.empty(src.shape, dtype=bool)
+        same, empty = edge[..., :-1], edge[..., -1]
+        np.equal(table.take(first)[:, None], table.take(second), out=same)
+        np.logical_not(np.logical_or.reduce(same, axis=2, out=empty), out=empty)
+        edges = np.flatnonzero(edge)
+        self.src = src.take(edges).astype(np.intp)  # the gather's index type
+        self.offsets = edges.searchsorted(np.arange(0, edge.size, edge.shape[2]))
 
         words = -(-self._own.size // 64)
-        size = (nodes + 1) * words * 8
-        self.buffers = (bytearray(size), bytearray(size))  # steps t and t-1, by parity
+        self.buffers = (bytearray(start), bytearray(len(start)))  # steps t and t-1, by parity
         self.states = tuple(
-            np.frombuffer(b, dtype=np.uint64).reshape(nodes + 1, words) for b in self.buffers
+            np.frombuffer(b, dtype=np.uint64).reshape(w * w + 1, words) for b in self.buffers
         )
         self._heads = tuple(state[:-1] for state in self.states)  # all rows but the zero row
-        self.states[0].flat[self._own] = self._bits
-        self.checkpoint = bytearray(self.buffers[0])
+        self.checkpoint = bytearray(start)
         self.gather = np.empty((self.src.size, words), dtype=np.uint64)
-        # after a step the gather buffer is free; its head holds the diagonal bits
-        self._diagonal = self.gather.reshape(-1)[: self._own.size]
+        # the diagonal bits of the live state, tested against zero by one memcmp
+        self.diagonal = bytearray(self._own.size * 8)
+        self.zero = bytes(len(self.diagonal))
+        self._diagonal = np.frombuffer(self.diagonal, dtype=np.uint64)
         self.t = 0
         self._power = self._period = 1
 
@@ -161,7 +167,7 @@ class _PairWalk:
         diagonal = self._diagonal
         self.states[self.t & 1].take(self._own, out=diagonal, mode="clip")
         np.bitwise_and(diagonal, self._bits, out=diagonal)
-        return not np.count_nonzero(diagonal)
+        return self.diagonal == self.zero
 
 
 def reversible_by_pair_graph(rule: Rule) -> tuple[list[bool], int]:

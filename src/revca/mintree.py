@@ -200,9 +200,12 @@ def exact_occurrences(tree: MinimizedTree) -> list[SizeSet]:
     computed once.
     """
     matrix, transient, period = level_sequence(tree)
-    rows, flat = len(matrix), matrix.T.tobytes()  # node i's column at [i*rows, (i+1)*rows)
-    columns = [flat[i : i + rows] for i in range(0, len(flat), rows)]
-    shared = {c: SizeSet.periodic(c.__getitem__, transient, period) for c in set(columns)}
+    # node i's column, bit l for level l, at [i*size, (i+1)*size)
+    size, flat = -(-len(matrix) // 8), np.packbits(matrix, axis=0, bitorder="little").T.tobytes()
+    columns = [flat[i : i + size] for i in range(0, len(flat), size)]
+    shared = {
+        c: SizeSet.periodic(int.from_bytes(c, "little"), transient, period) for c in set(columns)
+    }
     return [shared[c] for c in columns]
 
 

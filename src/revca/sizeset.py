@@ -2,7 +2,7 @@
 
 The irreversible lattice sizes of a rule and the levels at which a
 minimized-tree node occurs are both such sets; `SizeSet.periodic` is the one
-constructor that canonicalizes them.
+constructor that canonicalizes them, from a bitmask of the members.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import Callable, Iterable
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -71,19 +71,18 @@ class SizeSet:
     head: tuple[int, ...]
 
     @classmethod
-    def periodic(cls, member: Callable[[int], bool], start: int, period: int) -> "SizeSet":
-        """The set {n >= 0 : member(n)}, where member(n) = member(n + period)
-        for every n >= start; member is only called below start + period."""
-        residues = {n % period for n in range(start, start + period) if member(n)}
-        period = next(
-            q
-            for q in range(1, period + 1)
-            if period % q == 0 and all((r + q) % period in residues for r in residues)
-        )
-        residues = frozenset(r % period for r in residues)
-        while start > 0 and member(start - 1) == ((start - 1) % period in residues):
-            start -= 1
-        return cls(start, period, residues, tuple(n for n in range(start) if member(n)))
+    def periodic(cls, bits: int, start: int, period: int) -> "SizeSet":
+        """The set {n >= 0 : bit n of bits is set}, where bit n equals bit
+        n + period for every n >= start; bits from start + period on are ignored."""
+        bits &= (1 << start + period) - 1
+        tail = bits >> start
+        for q in range(1, period):
+            if period % q == 0 and tail >> q == tail & (1 << period - q) - 1:
+                period = q
+                break
+        start = ((bits ^ bits >> period) & (1 << start) - 1).bit_length()
+        residues = frozenset([n % period for n in range(start, start + period) if bits >> n & 1])
+        return cls(start, period, residues, tuple([n for n in range(start) if bits >> n & 1]))
 
     @classmethod
     def of(
@@ -92,13 +91,11 @@ class SizeSet:
         sizes: Iterable[int] = (),
     ) -> "SizeSet":
         """The union of raw progressions and single sizes."""
-        progressions = set(progressions)
-        sizes = set(sizes)
-        return cls.periodic(
-            lambda n: n in sizes or any(e.covers(n) for e in progressions),
-            max([0, *(e.min_n for e in progressions), *(s + 1 for s in sizes)]),
-            lcm(*(e.modulus for e in progressions)),
-        )
+        progressions, sizes = set(progressions), set(sizes)
+        start = max([0, *(e.min_n for e in progressions), *(s + 1 for s in sizes)])
+        period = lcm(*(e.modulus for e in progressions))
+        members = sizes.union(*(range(e.min_n, start + period, e.modulus) for e in progressions))
+        return cls.periodic(sum(1 << n for n in members), start, period)
 
     def __contains__(self, n: int) -> bool:
         if n >= self.start:

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,7 @@ from revca.rtree import build_full_tree, node_violates
 from revca.rulespace import (
     Rule,
     RuleParams,
+    is_strictly_irreversible,
     minimal_decimal,
     parse_rule,
     rule_from_decimal,
@@ -237,7 +241,9 @@ class TestScan:
 def from_m(sizes, rule):
     """The members n >= m of a size set: the part the scan is exact on."""
     m = rule.params.m
-    return SizeSet.periodic(lambda n: n >= m and n in sizes, max(m, sizes.start), sizes.period)
+    start = max(m, sizes.start)
+    bits = sum(1 << n for n in range(m, start + sizes.period) if n in sizes)
+    return SizeSet.periodic(bits, start, sizes.period)
 
 
 def undeduplicated_scan(tree, rule):
@@ -363,7 +369,8 @@ class TestClassify:
 
         def drops_62(tree, rule):
             sizes = scan(tree, rule)
-            return SizeSet.periodic(lambda n: n != 62 and n in sizes, 63, sizes.period)
+            bits = sum(1 << n for n in range(63 + sizes.period) if n != 62 and n in sizes)
+            return SizeSet.periodic(bits, 63, sizes.period)
 
         monkeypatch.setattr(classifier, "scan_violations", drops_62)
         with pytest.raises(OracleMismatchError, match=r"at n = \[62\]") as raised:
@@ -503,6 +510,31 @@ class TestClassProperties:
                     n for n in range(1, params.m) if not brute_force_reversible(rule, n)
                 }, rule
 
+    def test_strict_rules_are_irreversible_at_every_small_size(self):
+        # classify skips brute force under the strict shortcut: two uniform
+        # RMTs with one output map two uniform configurations alike at every n;
+        # and at n = 1, where every configuration is uniform, for all rules
+        rng = random.Random(23)
+        families = [
+            (RuleParams(2, 3), range(2**8)),
+            (RuleParams(3, 2), range(3**9)),
+            (RuleParams(2, 4), rng.sample(range(2**16), 300)),
+            (RuleParams(3, 3), [rng.randrange(3**27) for _ in range(100)]),
+            (RuleParams(4, 2), [rng.randrange(4**16) for _ in range(100)]),
+        ]
+        checked = 0
+        for params, values in families:
+            for value in values:
+                rule = rule_from_decimal(value, params)
+                if not is_strictly_irreversible(rule):
+                    assert brute_force_reversible(rule, 1), rule
+                    continue
+                for n in range(1, max(params.m, 9)):
+                    assert not brute_force_reversible(rule, n), (rule, n)
+                assert not any(classify(rule).small_n_reversible.values()), rule
+                checked += 1
+        assert checked > 15_000
+
     @pytest.mark.parametrize(
         "texts, printed",
         [
@@ -552,6 +584,36 @@ class TestJsonSchema:
         assert payload["tree"] is None
         assert payload["class"] == "StrictlyIrreversible"
         assert payload["expressions"] == [{"residue": 0, "modulus": 1, "min_n": 1}]
+
+
+def family_sha256(params):
+    """sha256 of every rule's classification JSON (sorted keys), one line
+    per rule in decimal order."""
+    h = hashlib.sha256()
+    for value in range(params.d**params.table_size):
+        payload = classification_to_json(classify(rule_from_decimal(value, params)))
+        h.update(json.dumps(payload, sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def golden_sha256(d, m):
+    """The digest recorded for the (d, m) family: lines "d m sha256"."""
+    golden = Path(__file__).parent / "golden" / "classification_sha256.txt"
+    for line in golden.read_text(encoding="utf-8").splitlines():
+        gd, gm, digest = line.split()
+        if (int(gd), int(gm)) == (d, m):
+            return digest
+    raise KeyError((d, m))
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("d, m", [(2, 3), (3, 2)])
+    def test_family_outputs_unchanged(self, d, m):
+        assert family_sha256(RuleParams(d, m)) == golden_sha256(d, m)
+
+    @pytest.mark.long
+    def test_long_24_outputs_unchanged(self):
+        assert family_sha256(RuleParams(2, 4)) == golden_sha256(2, 4)
 
 
 def test_mislabeled_table_row_is_ternary():

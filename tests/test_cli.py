@@ -152,6 +152,40 @@ class TestCheckAndOracle:
         payload = json.loads(out)
         assert payload == {"n": 5, "classifier": True, "oracle": True, "agree": True}
 
+    def test_check_walks_the_pair_graph_once(self, capsys, monkeypatch):
+        # the oracle verdict comes from classify's own cross-check
+        walks = []
+
+        class CountedWalk(debruijn._PairWalk):
+            def __init__(self, rule):
+                walks.append(rule)
+                super().__init__(rule)
+
+        monkeypatch.setattr(debruijn, "_PairWalk", CountedWalk)
+        rule = str(wolfram_decimal(linear_rule(2, (1, 0, 1, 0, 0, 1))))
+        code, out, _ = run(
+            capsys,
+            "check", "--states", "2", "--neighborhood", "6", "--rule", rule,
+            "--n", "93", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out) == {"n": 93, "classifier": False, "oracle": False, "agree": True}
+        assert len(walks) == 1
+
+    def test_check_past_capped_walk_exits_1(self, capsys, monkeypatch):
+        # classify verifies 40 sizes; size 100 goes to the oracle, which refuses it
+        monkeypatch.setattr(debruijn, "WALK_STEP_LIMIT", 40)
+        rule = str(wolfram_decimal(linear_rule(2, (1, 0, 1, 0, 0, 1))))
+        code, out, err = run(
+            capsys,
+            "check", "--states", "2", "--neighborhood", "6", "--rule", rule, "--n", "100",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: pair-graph walk saw no repeat in 40 steps, so size 100 is undecided\n"
+        )
+
     def test_oracle_pairgraph_large_odd(self, capsys):
         code, out, _ = run(
             capsys,

@@ -372,7 +372,8 @@ class TestWalkMemory:
         walk = _PairWalk(rule)
         states = [*walk.buffers, walk.checkpoint]
         assert len({len(state) for state in states}) == 1
-        assert sum(map(len, states)) + walk.gather.nbytes <= _walk_bytes(rule)
+        diagonal = len(walk.diagonal) + len(walk.zero)
+        assert sum(map(len, states)) + walk.gather.nbytes + diagonal <= _walk_bytes(rule)
 
     def test_steps_after_the_first_allocate_no_state(self):
         # period 31: the state repeats nothing within 40 steps
