@@ -2,9 +2,9 @@
 
 Pipeline: the constant-RMT shortcut settles strictly irreversible rules at
 every n >= 1, the balance shortcut settles unbalanced ones, and every other
-rule gets a minimized reachability tree.  One placement rule turns its
-nodes' condition failures into irreversible sizes, read on a full tree from
-each node's exact levels (`scan_violations`) and below an early stop's
+rule gets a minimized reachability tree.  One placement function turns a
+level's condition failures into irreversible sizes, fed on a full tree from
+the rows of its level matrix (`scan_violations`) and below an early stop's
 horizon from one walk over the unrolled levels (`walk_violations`).  The
 result is one canonical SizeSet over every n >= 1: for other rules n = 1
 is reversible (its configurations are uniform), the brute-forced
@@ -23,12 +23,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import count
-from math import lcm
 from typing import Sequence
+
+import numpy as np
 
 from .debruijn import PairGraphLimitError, reversible_by_pair_graph
 from .dynamics import brute_force_reversible
-from .mintree import MinimizedTree, build_minimized, exact_occurrences
+from .mintree import MinimizedTree, build_minimized, level_sequence
 from .rulespace import Rule, is_balanced_rule, is_strictly_irreversible, wolfram_decimal
 from .rtree import DEFAULT_TREE_LIMIT, NodeKernel, root_node
 from .sizeset import IrreversibilityExpression, SizeSet
@@ -43,65 +44,58 @@ class CAClass(enum.Enum):
     NON_TRIVIALLY_SEMI_REVERSIBLE = "NonTriviallySemiReversible"
 
 
-def scan_violations(tree: MinimizedTree, rule: Rule) -> SizeSet:
-    """Sizes ruled out by node condition failures on a fully built tree, at
-    the placements that each node's exact levels give.
+def _placed(failed: int, level: int, m: int) -> int:
+    """Bits of the sizes that failures at one level rule out: iota 0
+    (intermediate level: d^m RMTs, balanced) every n >= level + m, and
+    1 <= iota < m (level n-iota, restricted node: d^iota RMTs, balanced)
+    the size n = level + iota."""
+    return (failed & -2) << level | (-(failed & 1) << level + m)
 
-    A failure at iota 0 (intermediate level: d^m RMTs, balanced) rules out
-    every n >= min_level + m; one at 1 <= iota < m (level n-iota, restricted
-    node: d^iota RMTs, balanced) rules out n = level + iota.  The set is
-    exact from m on; `classify` answers below m from the brute-forced table.
+
+def scan_violations(tree: MinimizedTree, rule: Rule) -> SizeSet:
+    """Sizes ruled out by node condition failures on a fully built tree,
+    read level by level from its level matrix.
+
+    A level's failures are those of the nodes in its row, one Boolean
+    product of the matrix with the nodes x placements failure table; the m
+    rows past the matrix wrap its period.  The set is exact from m on;
+    `classify` answers below m from the brute-forced table.
     """
-    p = rule.params
-    failures = NodeKernel(rule).failures
-    failing: dict[int, list] = {}  # id(levels) -> [levels, OR of its nodes' failing iota bits]
-    for gamma, levels in zip(tree.gammas, exact_occurrences(tree)):
-        failed = failures(gamma)
-        if failed:
-            failing.setdefault(id(levels), [levels, 0])[1] |= failed
-    # a pattern's levels are periodic from its start, its first one below start + period
-    start = max((levels.start + levels.period + p.m for levels, _ in failing.values()), default=0)
-    period = lcm(*(levels.period for levels, _ in failing.values()))
-    sizes = 0  # bit n set for each size ruled out, exact below start + period
-    for levels, failed in failing.values():
-        below = sum(1 << t for t in range(start + period) if t in levels)
-        if failed & 1:
-            sizes |= -1 << ((below & -below).bit_length() - 1 + p.m)
-        for iota in range(1, p.m):
-            if failed >> iota & 1:
-                sizes |= below << iota
-    return SizeSet.periodic(sizes, start, period)
+    m = rule.params.m
+    matrix, transient, period = level_sequence(tree)
+    failed = np.fromiter(map(NodeKernel(rule).failures, tree.gammas), np.int64, len(tree.gammas))
+    placements = np.arange(m)
+    hits = matrix @ (failed[:, None] >> placements & 1).astype(bool)  # levels x placements
+    rows = np.r_[: len(matrix), transient + placements % period]  # then m rows wrapped
+    sizes = 0
+    for level, bits in enumerate((hits.take(rows, axis=0) @ (1 << placements)).tolist()):
+        sizes |= _placed(bits, level, m)
+    return SizeSet.periodic(sizes, transient + m, period)
 
 
 def walk_violations(rule: Rule, horizon: int) -> SizeSet:
     """Irreversible sizes of a rule known irreversible for every n >= horizon.
 
-    The sizes m <= n < horizon follow the scan's placement rule, read from
-    one walk over levels 0..horizon-2 of the unrolled tree: a level-t node
-    failing at iota 0 rules out every n >= t+m, one failing at iota >= 1
-    rules out n = t+iota.  Each level is checked only at the placements
-    that can name a size not yet ruled out.
+    The sizes m <= n < horizon are placed as in the scan, from one walk over
+    levels 0..horizon-2 of the unrolled tree, each level's failures the OR
+    over its nodes.  The walk stops once no open size lies above the next
+    level.
     """
     p = rule.params
     kernel = NodeKernel(rule)
-    todo = set(range(p.m, horizon))  # sizes not yet ruled out
+    sizes = -1 << horizon
     level = {root_node(p)}
     for t in range(horizon - 1):
-        # a size n > t is named by placement n - t, or by 0 from t + m on
-        wanted = None  # the placements that name a size in todo
+        failed = 0
         for gamma in level:
-            if wanted is None:
-                wanted = sum(1 << i for i in {min(n - t, p.m) % p.m for n in todo if n > t})
-            failed = kernel.failures(gamma, wanted)
-            if failed:
-                todo = {n for n in todo if n <= t or not failed >> min(n - t, p.m) % p.m & 1}
-                wanted = None
-        if max(todo, default=0) <= t + 1:
+            failed |= kernel.failures(gamma, ~failed)
+        sizes |= _placed(failed, t, p.m)
+        if not ~sizes >> max(p.m, t + 2):  # no open size in [m, horizon) above t+1
             break
         level = {kernel.child(gamma, x) for gamma in level for x in range(p.d)}
         if len(level) > DEFAULT_TREE_LIMIT:
             raise ValueError(f"unrolled tree level {t + 1} exceeds {DEFAULT_TREE_LIMIT} nodes")
-    return SizeSet.periodic((-1 << min(p.m, horizon)) ^ sum(1 << n for n in todo), horizon, 1)
+    return SizeSet.periodic(sizes & -1 << min(p.m, horizon), horizon, 1)
 
 
 @dataclass(frozen=True)

@@ -55,15 +55,24 @@ def export_debruijn_dot(rule: Rule) -> str:
 
 
 def _walk_bytes(rule: Rule) -> int:
-    """Bytes of every buffer the walk holds, at most: three states (steps t
-    and t-1, and Brent's checkpoint), the gather buffer, and the diagonal
-    buffer with its zero twin."""
-    w = rule.params.node_width
+    """Bytes the walk holds at most, from its set-up on: three states (steps
+    t and t-1, and Brent's checkpoint), the gather buffer, and the diagonal
+    buffer with its zero twin; the set-up's Boolean candidate table, its
+    edge index, the intp sources and the offsets with their search keys;
+    and the shape's cached tables (`_shape`), with 16 KiB for the Python
+    objects that hold them."""
+    d, w = rule.params.d, rule.params.node_width
     starts = w * (w - 1) // 2
+    words = -(-starts // 64)
     # one edge per equal-output RMT pair, plus at most one edge from the zero
     # row into each off-diagonal node that has no incoming edge
     edges = sum(rule.table.count(x) ** 2 for x in set(rule.table)) + w * w - w
-    return (3 * (w * w + 1) + edges) * -(-starts // 64) * 8 + 2 * starts * 8
+    candidates = w * w * (d * d + 1)
+    state = (w * w + 1) * words * 8
+    walk = 3 * state + edges * words * 8 + 2 * starts * 8
+    setup = candidates + edges * 16 + w * w * 16
+    shape = 2 * candidates + 4 * w * d * d + 2 * starts * 8 + state
+    return walk + setup + shape + (1 << 14)
 
 
 @lru_cache(maxsize=64)

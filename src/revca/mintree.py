@@ -5,12 +5,13 @@ once; a child equal to an existing node only adds a link.
 
 Where a node sits in the unrolled tree is read from the level sequence: the
 child map drives a walk through node sets that is eventually periodic, held
-as a Boolean levels x nodes matrix, so a node's levels (its column) form an
-eventually periodic set, held as a `SizeSet` (the type that also holds a
-rule's irreversible sizes).  `exact_occurrences` builds one per distinct
+as a Boolean levels x nodes matrix, which the classifier's scan reads row
+by row.  A node's levels (its column) form an eventually periodic set, held
+as a `SizeSet` (the type that also holds a rule's irreversible sizes): the
+view for queries and exports.  `exact_occurrences` builds one per distinct
 column, and `MinimizedTree.occurrences` keeps them for `occurs_at_level` and
 for the outputs that read their `chains` (one progression per residue plus
-the loose levels): `loops_of`, the JSON/DOT exports and the classifier's scan.
+the loose levels): `loops_of` and the JSON/DOT exports.
 
 With `stop_on_violation` the build applies the paper's loop rule for period
 1: a node reached again at the level after the one it was created at has a

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
-from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -83,19 +81,6 @@ class SizeSet:
         start = ((bits ^ bits >> period) & (1 << start) - 1).bit_length()
         residues = frozenset([n % period for n in range(start, start + period) if bits >> n & 1])
         return cls(start, period, residues, tuple([n for n in range(start) if bits >> n & 1]))
-
-    @classmethod
-    def of(
-        cls,
-        progressions: Iterable[IrreversibilityExpression] = (),
-        sizes: Iterable[int] = (),
-    ) -> "SizeSet":
-        """The union of raw progressions and single sizes."""
-        progressions, sizes = set(progressions), set(sizes)
-        start = max([0, *(e.min_n for e in progressions), *(s + 1 for s in sizes)])
-        period = lcm(*(e.modulus for e in progressions))
-        members = sizes.union(*(range(e.min_n, start + period, e.modulus) for e in progressions))
-        return cls.periodic(sum(1 << n for n in members), start, period)
 
     def __contains__(self, n: int) -> bool:
         if n >= self.start:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -65,8 +66,17 @@ class TestExpressionType:
         assert str(IrreversibilityExpression.segment(3)) == "n ≥ 3"
 
 
+def raw_union(progressions=(), sizes=()):
+    """The union of raw progressions and single sizes, as one SizeSet."""
+    progressions, sizes = set(progressions), set(sizes)
+    start = max([0, *(e.min_n for e in progressions), *(s + 1 for s in sizes)])
+    period = lcm(*(e.modulus for e in progressions))
+    members = sizes.union(*(range(e.min_n, start + period, e.modulus) for e in progressions))
+    return SizeSet.periodic(sum(1 << n for n in members), start, period)
+
+
 def canonical(exprs, sizes=()):
-    s = SizeSet.of(exprs, sizes)
+    s = raw_union(exprs, sizes)
     return s.expressions, s.sporadic
 
 
@@ -103,7 +113,7 @@ class TestNormalization:
 
     def test_large_lcm_period(self):
         moduli = (2, 3, 5, 7)
-        s = SizeSet.of([expr(q, q) for q in moduli])
+        s = raw_union([expr(q, q) for q in moduli])
         assert s.period == 210
         assert s.expressions == tuple(sorted(expr(q, q) for q in moduli))
         assert s.sporadic == ()
@@ -111,10 +121,10 @@ class TestNormalization:
             assert (n in s) == any(n % q == 0 for q in moduli), n
 
     def test_canonical_value(self):
-        s = SizeSet.of([expr(6, 6), expr(9, 3)], [4])
+        s = raw_union([expr(6, 6), expr(9, 3)], [4])
         assert (s.start, s.period, s.residues, s.head) == (5, 3, frozenset({0}), (4,))
         assert str(s) == "n ≡ 0 (mod 3), n ≥ 6; n = 4"
-        assert str(SizeSet.of()) == "∅"
+        assert str(raw_union()) == "∅"
 
     @staticmethod
     def naive(exprs, sizes, n):
@@ -147,7 +157,7 @@ class TestNormalization:
     @given(exprs_strategy, st.lists(st.integers(2, 12), max_size=4))
     @settings(max_examples=80, deadline=None)
     def test_membership_matches_naive_union(self, exprs, sizes):
-        s = SizeSet.of(exprs, sizes)
+        s = raw_union(exprs, sizes)
         for n in range(1, s.start + 3 * s.period):
             assert (n in s) == self.naive(exprs, sizes, n), n
 
@@ -163,7 +173,7 @@ class TestNormalization:
                 other.append(expr(e.min_n + e.modulus, 2 * e.modulus))
             else:
                 other.append(e)
-        assert SizeSet.of(other, sizes) == SizeSet.of(exprs, sizes)
+        assert raw_union(other, sizes) == raw_union(exprs, sizes)
         assert canonical(other, sizes) == canonical(exprs, sizes)
 
     @given(exprs_strategy, st.lists(st.integers(2, 12), max_size=4))
@@ -191,6 +201,13 @@ class TestNormalization:
                     assert not subset, (outer, inner)
 
 
+def balanced_rule(rng, d, m):
+    p = RuleParams(d, m)
+    table = [x for x in range(d) for _ in range(p.table_size // d)]
+    rng.shuffle(table)
+    return Rule(p, tuple(table))
+
+
 class TestScan:
     def test_eca75(self):
         rule = eca(75)
@@ -198,7 +215,7 @@ class TestScan:
 
     def test_reversible_rule_scans_clean(self):
         rule = parse_rule("1010101010101010", RuleParams(2, 4))
-        assert scan_violations(build_minimized(rule), rule) == SizeSet.of()
+        assert scan_violations(build_minimized(rule), rule) == raw_union()
 
     def test_eca150(self):
         rule = eca(150)
@@ -211,13 +228,23 @@ class TestScan:
             eca(75),
             rule33("012210210102012102210210012"),
             rule33("021101110202222202110010021"),
+            # full trees of rules the early stop would cut: iota-0 failures
+            balanced_rule(random.Random(43), 3, 3),
+            balanced_rule(random.Random(1), 2, 5),
+            balanced_rule(random.Random(29), 4, 2),
+            # transient 5, period 2: sizes named only through more than one
+            # of the rows that wrap the period past the matrix's last row
+            parse_rule("1100111100110000", RuleParams(2, 4)),
             pytest.param(parse_rule("1010100101010110", RuleParams(2, 4)), marks=pytest.mark.long),
         ],
-        ids=["eca23", "eca75", "height19", "height19b", "giant40320"],
+        ids=[
+            "eca23", "eca75", "height19", "height19b",
+            "seeded33", "seeded25", "seeded42", "wrapped_rows", "giant40320",
+        ],
     )
     def test_matches_undeduplicated_scan(self, rule):
         tree = build_minimized(rule)
-        expected = SizeSet.of(*undeduplicated_scan(tree, rule))
+        expected = raw_union(*undeduplicated_scan(tree, rule))
         assert from_m(scan_violations(tree, rule), rule) == from_m(expected, rule)
 
     @pytest.mark.long
@@ -232,7 +259,7 @@ class TestScan:
                 tree = build_minimized(rule, stop_on_violation=True)
                 if tree.stopped_at is None:
                     got = from_m(scan_violations(tree, rule), rule)
-                    expected = SizeSet.of(*undeduplicated_scan(tree, rule))
+                    expected = raw_union(*undeduplicated_scan(tree, rule))
                     assert got == from_m(expected, rule), rule
                     scanned += 1
         assert scanned > 0
@@ -248,8 +275,8 @@ def from_m(sizes, rule):
 
 def undeduplicated_scan(tree, rule):
     """One raw progression per node, iota and anchor, one size per sporadic
-    occurrence: the scan as raw lists, before duplicates were dropped and
-    before it built its SizeSet from one membership test."""
+    occurrence, read from each node's exact levels (`exact_occurrences`)
+    with `node_violates`: the scan as raw lists, sharing none of its code."""
     p = rule.params
     progressions, sizes = [], []
     for gamma, levels in zip(tree.gammas, exact_occurrences(tree)):
@@ -276,13 +303,6 @@ EARLY_STOP_PANEL = (
     (2, 4, "0001101011100101"),
     (2, 4, "1110010100011010"),
 )
-
-
-def balanced_rule(rng, d, m):
-    p = RuleParams(d, m)
-    table = [x for x in range(d) for _ in range(p.table_size // d)]
-    rng.shuffle(table)
-    return Rule(p, tuple(table))
 
 
 def assert_walk_matches_full_trees(rule):
@@ -335,8 +355,8 @@ class TestWalk:
     def test_small_horizon(self):
         # a horizon at or below m leaves nothing to walk
         segment = IrreversibilityExpression.segment
-        assert walk_violations(eca(75), 1) == SizeSet.of([segment(1)])
-        assert walk_violations(eca(75), 3) == SizeSet.of([segment(3)])
+        assert walk_violations(eca(75), 1) == raw_union([segment(1)])
+        assert walk_violations(eca(75), 3) == raw_union([segment(3)])
 
 
 class TestClassify:
@@ -453,17 +473,17 @@ class TestMembership:
 
 class TestComplementFiniteness:
     def test_empty_expressions_infinite(self):
-        assert not SizeSet.of().cofinite
+        assert not raw_union().cofinite
 
     def test_full_cover_finite(self):
-        assert SizeSet.of([IrreversibilityExpression.segment(5)]).cofinite
+        assert raw_union([IrreversibilityExpression.segment(5)]).cofinite
 
     def test_partial_cover_infinite(self):
-        assert not SizeSet.of([expr(2, 2)]).cofinite
+        assert not raw_union([expr(2, 2)]).cofinite
 
     def test_two_moduli_cover(self):
         # evens from 4 plus odds from 5 cover everything beyond 3
-        s = SizeSet.of([expr(4, 2), expr(5, 2)])
+        s = raw_union([expr(4, 2), expr(5, 2)])
         assert s.cofinite
         assert s.expressions == (IrreversibilityExpression.segment(4),)
 

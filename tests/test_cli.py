@@ -27,7 +27,7 @@ def third_state_rule() -> str:
     """Decimal code of a skewed, unbalanced (41,2) rule whose pair-graph walk
     fits the byte limit with two state copies, but not with three."""
     params = RuleParams(41, 2)
-    rule = Rule(params, (1,) * 40 + (2,) * 37 + (0,) * (params.table_size - 77))
+    rule = Rule(params, (1,) * 111 + (2,) * 110 + (0,) * (params.table_size - 221))
     w = params.node_width
     state_bytes = (w * w + 1) * -(-(w * (w - 1) // 2) // 64) * 8
     assert _walk_bytes(rule) - state_bytes <= PAIR_GRAPH_BYTE_LIMIT < _walk_bytes(rule)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revca import debruijn
@@ -367,13 +367,23 @@ class TestLinearRules:
 
 class TestWalkMemory:
     @given(shaped_rules())
+    @example(Rule(RuleParams(2, 6), tuple(r % 2 for r in range(64))))
+    @example(Rule(RuleParams(16, 2), tuple(r % 16 for r in range(256))))
     @settings(max_examples=20, deadline=None)
     def test_bound_covers_allocation(self, rule):
-        walk = _PairWalk(rule)
+        # the set-up and the shape's cached tables count too, so start cold
+        debruijn._shape.cache_clear()
+        tracemalloc.start()
+        try:
+            walk = _PairWalk(rule)
+            walk.step()
+            walk.injective()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         states = [*walk.buffers, walk.checkpoint]
         assert len({len(state) for state in states}) == 1
-        diagonal = len(walk.diagonal) + len(walk.zero)
-        assert sum(map(len, states)) + walk.gather.nbytes + diagonal <= _walk_bytes(rule)
+        assert peak <= _walk_bytes(rule)
 
     def test_steps_after_the_first_allocate_no_state(self):
         # period 31: the state repeats nothing within 40 steps
