@@ -52,7 +52,7 @@ def _placed(failed: int, level: int, m: int) -> int:
     return (failed & -2) << level | (-(failed & 1) << level + m)
 
 
-def scan_violations(tree: MinimizedTree, rule: Rule) -> SizeSet:
+def scan_violations(tree: MinimizedTree) -> SizeSet:
     """Sizes ruled out by node condition failures on a fully built tree,
     read level by level from its level matrix.
 
@@ -61,9 +61,9 @@ def scan_violations(tree: MinimizedTree, rule: Rule) -> SizeSet:
     rows past the matrix wrap its period.  The set is exact from m on;
     `classify` answers below m from the brute-forced table.
     """
-    m = rule.params.m
+    m = tree.rule.params.m
     matrix, transient, period = level_sequence(tree)
-    failed = np.fromiter(map(NodeKernel(rule).failures, tree.gammas), np.int64, len(tree.gammas))
+    failed = np.fromiter(map(NodeKernel(tree.rule).failures, tree.gammas), np.int64, len(tree.gammas))
     placements = np.arange(m)
     hits = matrix @ (failed[:, None] >> placements & 1).astype(bool)  # levels x placements
     rows = np.r_[: len(matrix), transient + placements % period]  # then m rows wrapped
@@ -161,7 +161,7 @@ def classify(rule: Rule) -> Classification:
             tree = build_minimized(rule, stop_on_violation=True)
             evidence = TreeEvidence(unique_nodes=tree.unique_nodes, height=tree.height)
             if tree.stopped_at is None:
-                tail = scan_violations(tree, rule)
+                tail = scan_violations(tree)
             else:
                 tail = walk_violations(rule, tree.stop_horizon)
             start = max(p.m, tail.start)

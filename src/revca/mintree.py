@@ -1,7 +1,10 @@
 """Minimized reachability tree: hash-consed unique nodes and their exact levels.
 
 Construction is level-synchronous.  Every unique node is expanded exactly
-once; a child equal to an existing node only adds a link.
+once; a child equal to an existing node only adds a link.  Ids are handed
+out in creation order, so the nodes created at one level are one id range,
+the next level's expansion is that range, and the child links are one
+(nodes, d) id array.
 
 Where a node sits in the unrolled tree is read from the level sequence: the
 child map drives a walk through node sets that is eventually periodic, held
@@ -17,8 +20,10 @@ With `stop_on_violation` the build applies the paper's loop rule for period
 1: a node reached again at the level after the one it was created at has a
 loop of period 1, taken to stand at every level from its creation level on,
 and so does every node it created, one level further down: the entries of
-its child row that name it as creator.  One flag per node records this; a
-new node inherits its creator's flag.  The rule only drives the early stop:
+its child row that name it as creator.  Those were created at the current
+level and have no children yet, so the rule reaches one level down and no
+further.  One flag per node records this; a new node inherits its
+creator's flag.  The rule only drives the early stop:
 the exact levels can be fewer (ECA 23's node 21 is reached at levels 4 and 5
 but does not sit at level 6).
 """
@@ -26,10 +31,9 @@ but does not sit at level 6).
 from __future__ import annotations
 
 import json
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -37,8 +41,11 @@ from .rtree import DEFAULT_TREE_LIMIT, Gamma, NodeKernel, gamma_rmts, node_sets,
 from .rulespace import Rule
 from .sizeset import SizeSet
 
-# nodes of a fully built tree, above the largest (2,4) tree (40,320); a tree
-# cut at the cap has no exact levels, so the build fails rather than return it
+# nodes of a full build (no early stop), which `classify` never runs: the
+# minimized-tree export and the exact levels need one.  Many full trees pass
+# it (the strictly irreversible (2,4) rule 0101101010111010 has 985,593
+# nodes), and a tree cut at the cap has no exact levels, so the build fails
+# rather than return it
 FULL_TREE_LIMIT = 100_000
 
 
@@ -46,7 +53,7 @@ FULL_TREE_LIMIT = 100_000
 class MinimizedTree:
     rule: Rule
     gammas: list[Gamma]
-    children: list[list[int]]  # d child ids per node
+    children: np.ndarray  # (nodes, d) child ids; -1 where a cut build left one unexpanded
     height: int  # level at which the last unique node was added
     stopped_at: int | None = None  # construction level of the first violation
     stop_horizon: int | None = None  # irreversible for every n >= this
@@ -83,70 +90,57 @@ def build_minimized(rule: Rule, stop_on_violation: bool = False) -> MinimizedTre
     irreversibility tail.
     """
     p = rule.params
+    d = p.d
     max_nodes = DEFAULT_TREE_LIMIT if stop_on_violation else FULL_TREE_LIMIT
     kernel = NodeKernel(rule)
     child_of, failures = kernel.child, kernel.failures
     root = root_node(p)
     ids: dict[Gamma, int] = {root: 0}
     gammas: list[Gamma] = [root]
-    children: list[list[int]] = [[-1] * p.d]
-    born: list[int] = [0]  # creation level
-    loop1: list[bool] = [False]  # has a period-1 loop (kept only when stopping)
+    unexpanded = array("q", [-1]) * d
+    children = array("q", unexpanded)  # row nid at [nid*d, (nid+1)*d)
+    loop1: list[bool] = [False]  # has a period-1 loop
     creator: list[int] = [-1]  # the node whose expansion first built this one
     height = 0
-
-    def flag_loop(start: int) -> None:
-        # the loop carries down the creation links, which form a tree
-        work = deque([start])
-        while work:
-            nid = work.popleft()
-            if loop1[nid]:
-                continue
-            loop1[nid] = True
-            failed = failures(gammas[nid], -2)  # every placement but 0
-            if failed:
-                raise _TriviallyIrreversible(born[nid] + (failed & -failed).bit_length() - 1)
-            work.extend(c for c in children[nid] if c >= 0 and creator[c] == nid)
-
-    frontier = [0]
-    level = 0
+    level, lo, hi = 0, 0, 1  # ids lo..hi-1 were created at level - 1
     stopped_at = None
     stop_horizon = None
     try:
-        while frontier and stopped_at is None:
+        while lo < hi:
             level += 1
-            new_frontier = []
-            for nid in frontier:
-                gamma, row = gammas[nid], children[nid]
-                for x in range(p.d):
+            for nid in range(lo, hi):
+                gamma, row = gammas[nid], nid * d
+                for x in range(d):
                     child = child_of(gamma, x)
-                    cid = ids.get(child)
-                    if cid is None:
-                        cid = len(gammas)
+                    cid = children[row + x] = ids.setdefault(child, len(gammas))
+                    if cid == len(gammas):
                         if cid >= max_nodes:
                             raise ValueError(
                                 f"minimized tree exceeds {max_nodes} nodes"
                             )
-                        ids[child] = cid
                         gammas.append(child)
-                        children.append([-1] * p.d)
-                        born.append(level)
+                        children += unexpanded
                         loop1.append(loop1[nid])
                         creator.append(nid)
-                        row[x] = cid
-                        new_frontier.append(cid)
                         height = level
                         if stop_on_violation and failures(child, 1):
                             raise _TriviallyIrreversible(level + p.m)
-                    else:
-                        row[x] = cid
-                        if stop_on_violation and level == born[cid] + 1 and not loop1[cid]:
-                            flag_loop(cid)
-            frontier = new_frontier
+                    elif stop_on_violation and lo <= cid < hi and not loop1[cid]:
+                        # the loop carries down the creation links, to the
+                        # nodes cid created: born at this level (ids from hi
+                        # on, cid one level up), they have no children yet
+                        kids = children[cid * d : cid * d + d]
+                        for node in [cid, *(c for c in kids if c >= hi and creator[c] == cid)]:
+                            loop1[node] = True
+                            if failed := failures(gammas[node], -2):  # every placement but 0
+                                iota = (failed & -failed).bit_length() - 1
+                                raise _TriviallyIrreversible(level - (node < hi) + iota)
+            lo, hi = hi, len(gammas)
     except _TriviallyIrreversible as stop:
         stopped_at = level
         (stop_horizon,) = stop.args
-    return MinimizedTree(rule, gammas, children, height, stopped_at, stop_horizon)
+    child_ids = np.frombuffer(children, np.int64).reshape(-1, d)
+    return MinimizedTree(rule, gammas, child_ids, height, stopped_at, stop_horizon)
 
 
 def occurs_at_level(tree: MinimizedTree, node_id: int, p: int) -> bool:
@@ -179,8 +173,7 @@ def level_sequence(tree: MinimizedTree) -> tuple[np.ndarray, int, int]:
     """
     if tree.stopped_at is not None:
         raise ValueError("level_sequence needs a fully built tree")
-    n, d = tree.unique_nodes, tree.rule.params.d
-    children = np.fromiter(chain.from_iterable(tree.children), np.intp, n * d).reshape(n, d)
+    n, children = tree.unique_nodes, tree.children
     seen: dict[bytes, int] = {}  # row -> level; its keys are the rows in order
     row = np.arange(n) == 0  # the root alone
     while (key := row.tobytes()) not in seen:
@@ -229,9 +222,11 @@ def tree_to_json(tree: MinimizedTree) -> dict:
                     "period": levels.period,
                 },
                 "gamma": [gamma_rmts(g) for g in node_sets(gamma, tree.rule.params)],
-                "children": list(tree.children[nid]),
+                "children": row,
             }
-            for nid, (gamma, levels) in enumerate(zip(tree.gammas, tree.occurrences))
+            for nid, (gamma, levels, row) in enumerate(
+                zip(tree.gammas, tree.occurrences, tree.children.tolist())
+            )
         ],
     }
 
@@ -260,8 +255,8 @@ def export_minimized_dot(tree: MinimizedTree) -> str:
     lines = ["digraph minimized_tree {"]
     for nid, levels in enumerate(tree.occurrences):
         lines.append(f'    {nid} [label="N{nid}\\nlevels {_label(levels)}"];')
-    for nid in range(tree.unique_nodes):
-        for x, child in enumerate(tree.children[nid]):
+    for nid, row in enumerate(tree.children.tolist()):
+        for x, child in enumerate(row):
             if child >= 0:
                 lines.append(f'    {nid} -> {child} [label="{x}"];')
     lines.append("}")

@@ -182,22 +182,16 @@ def parse_rule(text: str, params: RuleParams) -> Rule:
         raise RuleFormatError(
             f"digit string has length {len(text)}, expected {size} for d={params.d}, m={params.m}"
         )
-    value = int(text)
-    if value >= params.d**size:
-        raise RuleFormatError(f"decimal rule {value} out of range [0, {params.d}^{size})")
-    table = []
-    for _ in range(size):
-        table.append(value % params.d)
-        value //= params.d
-    return Rule(params, tuple(table))
+    return rule_from_decimal(int(text), params)
 
 
 def rule_from_decimal(value: int, params: RuleParams) -> Rule:
     """Build a rule directly from its decimal code."""
-    if value < 0 or value >= params.d**params.table_size:
-        raise RuleFormatError(f"decimal rule {value} out of range")
+    size = params.table_size
+    if value < 0 or value >= params.d**size:
+        raise RuleFormatError(f"decimal rule {value} out of range [0, {params.d}^{size})")
     table = []
-    for _ in range(params.table_size):
+    for _ in range(size):
         table.append(value % params.d)
         value //= params.d
     return Rule(params, tuple(table))

@@ -211,15 +211,15 @@ def balanced_rule(rng, d, m):
 class TestScan:
     def test_eca75(self):
         rule = eca(75)
-        assert scan_violations(build_minimized(rule), rule).expressions == (expr(2, 2),)
+        assert scan_violations(build_minimized(rule)).expressions == (expr(2, 2),)
 
     def test_reversible_rule_scans_clean(self):
         rule = parse_rule("1010101010101010", RuleParams(2, 4))
-        assert scan_violations(build_minimized(rule), rule) == raw_union()
+        assert scan_violations(build_minimized(rule)) == raw_union()
 
     def test_eca150(self):
         rule = eca(150)
-        assert scan_violations(build_minimized(rule), rule).expressions == (expr(3, 3),)
+        assert scan_violations(build_minimized(rule)).expressions == (expr(3, 3),)
 
     @pytest.mark.parametrize(
         "rule",
@@ -245,7 +245,7 @@ class TestScan:
     def test_matches_undeduplicated_scan(self, rule):
         tree = build_minimized(rule)
         expected = raw_union(*undeduplicated_scan(tree, rule))
-        assert from_m(scan_violations(tree, rule), rule) == from_m(expected, rule)
+        assert from_m(scan_violations(tree), rule) == from_m(expected, rule)
 
     @pytest.mark.long
     def test_long_matches_undeduplicated_scan_on_whole_families(self):
@@ -258,7 +258,7 @@ class TestScan:
                 rule = rule_from_decimal(value, p)
                 tree = build_minimized(rule, stop_on_violation=True)
                 if tree.stopped_at is None:
-                    got = from_m(scan_violations(tree, rule), rule)
+                    got = from_m(scan_violations(tree), rule)
                     expected = raw_union(*undeduplicated_scan(tree, rule))
                     assert got == from_m(expected, rule), rule
                     scanned += 1
@@ -387,8 +387,8 @@ class TestClassify:
         assert (c.verified_up_to, c.verified_all) == (62, True)
         scan = classifier.scan_violations
 
-        def drops_62(tree, rule):
-            sizes = scan(tree, rule)
+        def drops_62(tree):
+            sizes = scan(tree)
             bits = sum(1 << n for n in range(63 + sizes.period) if n != 62 and n in sizes)
             return SizeSet.periodic(bits, 63, sizes.period)
 

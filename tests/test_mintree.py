@@ -147,6 +147,21 @@ def reference_build(rule, max_nodes, stop_on_violation):
     return gammas, levels, children, height, stopped_at, stop_horizon
 
 
+def reference_outputs(rule, stop_on_violation, max_nodes=None):
+    """The reference's (gammas, children, height, stopped_at, stop_horizon),
+    capped like the build unless max_nodes is given."""
+    if max_nodes is None:
+        max_nodes = mintree.DEFAULT_TREE_LIMIT if stop_on_violation else mintree.FULL_TREE_LIMIT
+    gammas, _, children, height, stopped_at, stop_horizon = reference_build(
+        rule, max_nodes, stop_on_violation
+    )
+    return gammas, children, height, stopped_at, stop_horizon
+
+
+def outputs(tree):
+    return tree.gammas, tree.children.tolist(), tree.height, tree.stopped_at, tree.stop_horizon
+
+
 def reference_occurrences(tree):
     """(loose, anchors, period) of each node's levels, each computed on its
     own: sporadic prefix levels, one anchor per residue class of the
@@ -363,7 +378,7 @@ class TestConstruction:
         a = build_minimized(eca(110))
         b = build_minimized(eca(110))
         assert a.gammas == b.gammas
-        assert a.children == b.children
+        assert a.children.tolist() == b.children.tolist()
         assert a.occurrences == b.occurrences
 
     def test_node_limit(self, monkeypatch):
@@ -426,14 +441,7 @@ class TestConstruction:
         got = (tree.unique_nodes, tree.height, tree.stopped_at, tree.stop_horizon)
         assert got == pinned
         assert tree.stop_horizon < tree.stopped_at + m
-        ref = reference_build(rule, 5000, True)
-        assert (ref[0], ref[2], ref[3], ref[4], ref[5]) == (
-            tree.gammas,
-            tree.children,
-            tree.height,
-            tree.stopped_at,
-            tree.stop_horizon,
-        )
+        assert outputs(tree) == reference_outputs(rule, True, 5000)
 
     def test_trigger_stops_match_reference(self, monkeypatch):
         # seeded balanced rules, about a tenth of which stop on the trigger
@@ -445,10 +453,8 @@ class TestConstruction:
             table = [x for x in range(p.d) for _ in range(p.table_size // p.d)]
             rng.shuffle(table)
             rule = Rule(p, tuple(table))
-            ref = reference_build(rule, 5000, True)
             tree = build_minimized(rule, stop_on_violation=True)
-            got = (tree.gammas, tree.children, tree.height, tree.stopped_at, tree.stop_horizon)
-            assert got == (ref[0], ref[2], ref[3], ref[4], ref[5]), rule
+            assert outputs(tree) == reference_outputs(rule, True, 5000), rule
             if tree.stopped_at is not None:
                 trigger_stops += tree.stop_horizon < tree.stopped_at + p.m
         assert trigger_stops >= 5
@@ -475,19 +481,25 @@ class TestConstruction:
             mp.setattr(mintree, "DEFAULT_TREE_LIMIT", cap)
             mp.setattr(mintree, "FULL_TREE_LIMIT", cap)
             try:
-                ref = reference_build(rule, cap, stop)
+                ref = reference_outputs(rule, stop)
             except ValueError as e:
                 with pytest.raises(ValueError, match=str(e)):
                     build_minimized(rule, stop_on_violation=stop)
                 return
             tree = build_minimized(rule, stop_on_violation=stop)
-        assert (tree.gammas, tree.children, tree.height, tree.stopped_at, tree.stop_horizon) == (
-            ref[0],
-            ref[2],
-            ref[3],
-            ref[4],
-            ref[5],
-        )
+        assert outputs(tree) == ref
+
+    @pytest.mark.parametrize("stop", [False, True], ids=["full", "stop"])
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), pytest.param((3, 2), marks=pytest.mark.long)], ids=["eca", "32"]
+    )
+    def test_matches_reference_on_whole_families(self, shape, stop):
+        # ids in creation order, and the loop rule one level deep
+        p = RuleParams(*shape)
+        for value in range(p.d**p.table_size):
+            rule = rule_from_decimal(value, p)
+            tree = build_minimized(rule, stop_on_violation=stop)
+            assert outputs(tree) == reference_outputs(rule, stop), value
 
     def test_level_matrix_bound(self, monkeypatch):
         # checked before each row: the matrix and its row keys fit exactly,

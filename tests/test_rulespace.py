@@ -88,8 +88,13 @@ class TestParse:
             parse_rule("01211010", RuleParams(2, 3))
 
     def test_decimal_out_of_range(self):
-        with pytest.raises(RuleFormatError, match="out of range"):
+        # both decimal paths share one decoder and its message
+        with pytest.raises(RuleFormatError, match=r"^decimal rule 256 out of range \[0, 2\^8\)$"):
             parse_rule("256", RuleParams(2, 3))
+        with pytest.raises(RuleFormatError, match=r"^decimal rule 256 out of range \[0, 2\^8\)$"):
+            rule_from_decimal(256, RuleParams(2, 3))
+        with pytest.raises(RuleFormatError, match=r"^decimal rule -1 out of range \[0, 2\^8\)$"):
+            rule_from_decimal(-1, RuleParams(2, 3))
 
     def test_non_digit_rejected(self):
         with pytest.raises(RuleFormatError, match="position 1"):
