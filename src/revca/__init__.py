@@ -17,8 +17,6 @@ from .classifier import (
     classify,
     is_reversible_for,
     reversible_sizes,
-    scan_violations,
-    walk_violations,
 )
 from .debruijn import (
     export_debruijn_dot,
@@ -41,6 +39,8 @@ from .mintree import (
     export_minimized_dot,
     loops_of,
     occurs_at_level,
+    scan_violations,
+    walk_violations,
 )
 from .rulespace import (
     Rule,

@@ -2,14 +2,12 @@
 
 Pipeline: the constant-RMT shortcut settles strictly irreversible rules at
 every n >= 1, the balance shortcut settles unbalanced ones, and every other
-rule gets a minimized reachability tree.  One placement function turns a
-level's condition failures into irreversible sizes, fed on a full tree from
-the rows of its level matrix (`scan_violations`) and below an early stop's
-horizon from one walk over the unrolled levels (`walk_violations`).  The
-result is one canonical SizeSet over every n >= 1: for other rules n = 1
-is reversible (its configurations are uniform), the brute-forced
-small-size table answers for 1 < n < m, and the tree's set or the balance
-shortcut's from m on.
+rule gets a minimized reachability tree, whose verdict `mintree` reads:
+`scan_violations` on a full tree, `walk_violations` below an early stop's
+horizon.  The result is one canonical SizeSet over every n >= 1: for other
+rules n = 1 is reversible (its configurations are uniform), the
+brute-forced small-size table answers for 1 < n < m, and the tree's set or
+the balance shortcut's from m on.
 
 Every classification is cross-checked against the pair-graph oracle before
 it is returned: the walk's verdicts and period give the oracle's whole set,
@@ -25,13 +23,10 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Sequence
 
-import numpy as np
-
 from .debruijn import PairGraphLimitError, reversible_by_pair_graph
 from .dynamics import brute_force_reversible
-from .mintree import MinimizedTree, build_minimized, level_sequence
+from .mintree import build_minimized, scan_violations, walk_violations
 from .rulespace import Rule, is_balanced_rule, is_strictly_irreversible, wolfram_decimal
-from .rtree import DEFAULT_TREE_LIMIT, NodeKernel, root_node
 from .sizeset import IrreversibilityExpression, SizeSet
 
 MIN_VERIFIED_SIZES = 24  # the least verified_up_to of a walk whose state repeated
@@ -42,60 +37,6 @@ class CAClass(enum.Enum):
     STRICTLY_IRREVERSIBLE = "StrictlyIrreversible"
     TRIVIALLY_SEMI_REVERSIBLE = "TriviallySemiReversible"
     NON_TRIVIALLY_SEMI_REVERSIBLE = "NonTriviallySemiReversible"
-
-
-def _placed(failed: int, level: int, m: int) -> int:
-    """Bits of the sizes that failures at one level rule out: iota 0
-    (intermediate level: d^m RMTs, balanced) every n >= level + m, and
-    1 <= iota < m (level n-iota, restricted node: d^iota RMTs, balanced)
-    the size n = level + iota."""
-    return (failed & -2) << level | (-(failed & 1) << level + m)
-
-
-def scan_violations(tree: MinimizedTree) -> SizeSet:
-    """Sizes ruled out by node condition failures on a fully built tree,
-    read level by level from its level matrix.
-
-    A level's failures are those of the nodes in its row, one Boolean
-    product of the matrix with the nodes x placements failure table; the m
-    rows past the matrix wrap its period.  The set is exact from m on;
-    `classify` answers below m from the brute-forced table.
-    """
-    m = tree.rule.params.m
-    matrix, transient, period = level_sequence(tree)
-    failed = np.fromiter(map(NodeKernel(tree.rule).failures, tree.gammas), np.int64, len(tree.gammas))
-    placements = np.arange(m)
-    hits = matrix @ (failed[:, None] >> placements & 1).astype(bool)  # levels x placements
-    rows = np.r_[: len(matrix), transient + placements % period]  # then m rows wrapped
-    sizes = 0
-    for level, bits in enumerate((hits.take(rows, axis=0) @ (1 << placements)).tolist()):
-        sizes |= _placed(bits, level, m)
-    return SizeSet.periodic(sizes, transient + m, period)
-
-
-def walk_violations(rule: Rule, horizon: int) -> SizeSet:
-    """Irreversible sizes of a rule known irreversible for every n >= horizon.
-
-    The sizes m <= n < horizon are placed as in the scan, from one walk over
-    levels 0..horizon-2 of the unrolled tree, each level's failures the OR
-    over its nodes.  The walk stops once no open size lies above the next
-    level.
-    """
-    p = rule.params
-    kernel = NodeKernel(rule)
-    sizes = -1 << horizon
-    level = {root_node(p)}
-    for t in range(horizon - 1):
-        failed = 0
-        for gamma in level:
-            failed |= kernel.failures(gamma, ~failed)
-        sizes |= _placed(failed, t, p.m)
-        if not ~sizes >> max(p.m, t + 2):  # no open size in [m, horizon) above t+1
-            break
-        level = {kernel.child(gamma, x) for gamma in level for x in range(p.d)}
-        if len(level) > DEFAULT_TREE_LIMIT:
-            raise ValueError(f"unrolled tree level {t + 1} exceeds {DEFAULT_TREE_LIMIT} nodes")
-    return SizeSet.periodic(sizes & -1 << min(p.m, horizon), horizon, 1)
 
 
 @dataclass(frozen=True)

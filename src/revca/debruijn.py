@@ -75,6 +75,22 @@ def _walk_bytes(rule: Rule) -> int:
     return walk + setup + shape + (1 << 14)
 
 
+def check_walk_bytes(rule: Rule) -> None:
+    """Refuse a rule whose walk would pass PAIR_GRAPH_BYTE_LIMIT."""
+    need = _walk_bytes(rule)
+    if need > PAIR_GRAPH_BYTE_LIMIT:
+        p = rule.params
+        raise PairGraphLimitError(
+            f"pair-graph oracle for d={p.d}, m={p.m} needs {need} bytes of walk "
+            f"buffers, over the limit {PAIR_GRAPH_BYTE_LIMIT}"
+        )
+
+
+def undecided(steps: int, n: int) -> ValueError:
+    """The refusal of size n past a walk of `steps` steps that saw no repeat."""
+    return ValueError(f"pair-graph walk saw no repeat in {steps} steps, so size {n} is undecided")
+
+
 @lru_cache(maxsize=64)
 def _shape(d: int, w: int) -> tuple:
     """The walk's rule-independent tables for d states and w = d^(m-1) words.
@@ -111,13 +127,8 @@ class _PairWalk:
     """
 
     def __init__(self, rule: Rule) -> None:
+        check_walk_bytes(rule)
         p = rule.params
-        need = _walk_bytes(rule)
-        if need > PAIR_GRAPH_BYTE_LIMIT:
-            raise PairGraphLimitError(
-                f"pair-graph oracle for d={p.d}, m={p.m} needs {need} bytes of walk "
-                f"buffers, over the limit {PAIR_GRAPH_BYTE_LIMIT}"
-            )
         w = p.node_width
         src, first, second, self._own, self._bits, start = _shape(p.d, w)
         # an edge per candidate whose two RMTs share an output, and one from
@@ -209,8 +220,6 @@ def pair_trace_oracle(rule: Rule, n: int) -> bool:
     verdicts, period = reversible_by_pair_graph(rule)
     if n > len(verdicts):
         if not period:
-            raise ValueError(
-                f"pair-graph walk saw no repeat in {len(verdicts)} steps, so size {n} is undecided"
-            )
+            raise undecided(len(verdicts), n)
         n -= period * -(-(n - len(verdicts)) // period)
     return verdicts[n - 1]

@@ -1,4 +1,4 @@
-"""Minimized reachability tree: hash-consed unique nodes and their exact levels.
+"""Minimized reachability tree: hash-consed nodes, their levels, its verdict.
 
 Construction is level-synchronous.  Every unique node is expanded exactly
 once; a child equal to an existing node only adds a link.  Ids are handed
@@ -8,13 +8,18 @@ the next level's expansion is that range, and the child links are one
 
 Where a node sits in the unrolled tree is read from the level sequence: the
 child map drives a walk through node sets that is eventually periodic, held
-as a Boolean levels x nodes matrix, which the classifier's scan reads row
-by row.  A node's levels (its column) form an eventually periodic set, held
-as a `SizeSet` (the type that also holds a rule's irreversible sizes): the
-view for queries and exports.  `exact_occurrences` builds one per distinct
-column, and `MinimizedTree.occurrences` keeps them for `occurs_at_level` and
-for the outputs that read their `chains` (one progression per residue plus
-the loose levels): `loops_of` and the JSON/DOT exports.
+as a Boolean levels x nodes matrix.  A node's levels (its column) form an
+eventually periodic set, held as a `SizeSet` (the type that also holds a
+rule's irreversible sizes): the view for queries and exports.
+`exact_occurrences` builds one per distinct column, and
+`MinimizedTree.occurrences` keeps them for `occurs_at_level` and for the
+outputs that read their `chains` (one progression per residue plus the
+loose levels): `loops_of` and the JSON/DOT exports.
+
+One placement rule, `_placed`, turns the condition failures at a level into
+irreversible sizes: for the early stop's horizon, for `scan_violations` on
+a full tree (row by row of its level matrix) and for `walk_violations`
+below an early stop's horizon (one walk over the unrolled levels).
 
 With `stop_on_violation` the build applies the paper's loop rule for period
 1: a node reached again at the level after the one it was created at has a
@@ -68,8 +73,16 @@ class MinimizedTree:
         return exact_occurrences(self)
 
 
+def _placed(failed: int, level: int, m: int) -> int:
+    """Bits of the sizes that failures at one level rule out: iota 0
+    (intermediate level: d^m RMTs, balanced) every n >= level + m, and
+    1 <= iota < m (level n-iota, restricted node: d^iota RMTs, balanced)
+    the size n = level + iota."""
+    return (failed & -2) << level | (-(failed & 1) << level + m)
+
+
 class _TriviallyIrreversible(Exception):
-    """Raised with the size from which every size is irreversible."""
+    """Raised with the `_placed` bits of the failures that stop the build."""
 
 
 def build_minimized(rule: Rule, stop_on_violation: bool = False) -> MinimizedTree:
@@ -124,7 +137,7 @@ def build_minimized(rule: Rule, stop_on_violation: bool = False) -> MinimizedTre
                         creator.append(nid)
                         height = level
                         if stop_on_violation and failures(child, 1):
-                            raise _TriviallyIrreversible(level + p.m)
+                            raise _TriviallyIrreversible(_placed(1, level, p.m))
                     elif stop_on_violation and lo <= cid < hi and not loop1[cid]:
                         # the loop carries down the creation links, to the
                         # nodes cid created: born at this level (ids from hi
@@ -133,12 +146,13 @@ def build_minimized(rule: Rule, stop_on_violation: bool = False) -> MinimizedTre
                         for node in [cid, *(c for c in kids if c >= hi and creator[c] == cid)]:
                             loop1[node] = True
                             if failed := failures(gammas[node], -2):  # every placement but 0
-                                iota = (failed & -failed).bit_length() - 1
-                                raise _TriviallyIrreversible(level - (node < hi) + iota)
+                                base = level - (node < hi)  # node's creation level
+                                raise _TriviallyIrreversible(_placed(failed, base, p.m))
             lo, hi = hi, len(gammas)
     except _TriviallyIrreversible as stop:
         stopped_at = level
-        (stop_horizon,) = stop.args
+        (sizes,) = stop.args
+        stop_horizon = (sizes & -sizes).bit_length() - 1  # the least size ruled out
     child_ids = np.frombuffer(children, np.int64).reshape(-1, d)
     return MinimizedTree(rule, gammas, child_ids, height, stopped_at, stop_horizon)
 
@@ -201,6 +215,52 @@ def exact_occurrences(tree: MinimizedTree) -> list[SizeSet]:
         c: SizeSet.periodic(int.from_bytes(c, "little"), transient, period) for c in set(columns)
     }
     return [shared[c] for c in columns]
+
+
+def scan_violations(tree: MinimizedTree) -> SizeSet:
+    """Sizes ruled out by node condition failures on a fully built tree,
+    read level by level from its level matrix.
+
+    A level's failures are those of the nodes in its row, one Boolean
+    product of the matrix with the nodes x placements failure table; the m
+    rows past the matrix wrap its period.  The set is exact from m on;
+    `classify` answers below m from the brute-forced table.
+    """
+    m = tree.rule.params.m
+    matrix, transient, period = level_sequence(tree)
+    failed = np.fromiter(map(NodeKernel(tree.rule).failures, tree.gammas), np.int64, len(tree.gammas))
+    placements = np.arange(m)
+    hits = matrix @ (failed[:, None] >> placements & 1).astype(bool)  # levels x placements
+    rows = np.r_[: len(matrix), transient + placements % period]  # then m rows wrapped
+    sizes = 0
+    for level, bits in enumerate((hits.take(rows, axis=0) @ (1 << placements)).tolist()):
+        sizes |= _placed(bits, level, m)
+    return SizeSet.periodic(sizes, transient + m, period)
+
+
+def walk_violations(rule: Rule, horizon: int) -> SizeSet:
+    """Irreversible sizes of a rule known irreversible for every n >= horizon.
+
+    The sizes m <= n < horizon are placed as in the scan, from one walk over
+    levels 0..horizon-2 of the unrolled tree, each level's failures the OR
+    over its nodes.  The walk stops once no open size lies above the next
+    level.
+    """
+    p = rule.params
+    kernel = NodeKernel(rule)
+    sizes = -1 << horizon
+    level = {root_node(p)}
+    for t in range(horizon - 1):
+        failed = 0
+        for gamma in level:
+            failed |= kernel.failures(gamma, ~failed)
+        sizes |= _placed(failed, t, p.m)
+        if not ~sizes >> max(p.m, t + 2):  # no open size in [m, horizon) above t+1
+            break
+        level = {kernel.child(gamma, x) for gamma in level for x in range(p.d)}
+        if len(level) > DEFAULT_TREE_LIMIT:
+            raise ValueError(f"unrolled tree level {t + 1} exceeds {DEFAULT_TREE_LIMIT} nodes")
+    return SizeSet.periodic(sizes & -1 << min(p.m, horizon), horizon, 1)
 
 
 def loops_of(tree: MinimizedTree, node_id: int) -> list[tuple[int, int]]:

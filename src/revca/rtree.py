@@ -13,9 +13,9 @@ with masks repeated in every slot: the edge is one AND with the rule's state
 mask, the child folds each slot's d blocks of d^(m-1) bits onto the low one,
 spreads bit j to bit d*j in ceil(log2 d^(m-1)) masked shifts and fills each
 sibling block with one multiplication, and the restriction is one AND.  The
-per-shape masks are built once per (d, m) (`_shape`), the per-rule ones once
-per Rule (`Rule.node_state_masks`) and their per-placement restrictions once
-per `NodeKernel`, whose `failures` checks all placements of a node in one call.
+per-shape masks are built once per (d, m) (`_shape`), the per-rule ones and
+their per-placement restrictions once per `NodeKernel`, from the rule table;
+its `failures` checks all placements of a node in one call.
 
 RMT totals and balance are counted with multiplicity across the d^(m-1) sets
 (the same RMT may appear in several of them), so a node's total is its
@@ -28,12 +28,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .rulespace import Rule, RuleParams, repeat_bits
+from .rulespace import Rule, RuleParams
 
 Gamma = int  # packed node: d^(m-1) slots of d^m bits, one RMT set per slot
 
 # nodes of a per-size tree, of an early-stopping minimized tree, or of one walk level
 DEFAULT_TREE_LIMIT = 1_000_000
+
+
+def repeat_bits(pattern: int, width: int, count: int) -> int:
+    """`count` copies of `pattern` side by side, copy k at bit k*width
+    (pattern < 2^width); built by doubling, in O(log count) big-int steps."""
+    out, copies = pattern, 1
+    while copies < count:
+        out |= out << (copies * width)
+        copies *= 2
+    return out & ((1 << (count * width)) - 1)
 
 
 class _Shape(NamedTuple):
@@ -104,7 +114,10 @@ class NodeKernel:
     def __init__(self, rule: Rule):
         p = rule.params
         _, self.fold, self.low, self.spread, self.block, valid = _shape(p.d, p.m)
-        self.edges = rule.node_state_masks
+        masks = [0] * p.d  # per state x, the RMTs r with table[r] = x
+        for r, x in enumerate(rule.table):
+            masks[x] |= 1 << r
+        self.edges = tuple(repeat_bits(mask, p.table_size, p.node_width) for mask in masks)
         self.checks = [  # per placement i: its bit, each state's valid RMTs, the count each needs
             (1 << i, [e & ok for e in self.edges] if i else self.edges, p.d ** ((i or p.m) - 1))
             for i, ok in enumerate(valid)
@@ -151,7 +164,7 @@ def child_node(parent: Gamma, state: int, rule: Rule) -> Gamma:
     """(Unrestricted) child of a node for output `state`.
 
     The edge to it keeps the parent RMTs mapped to `state`,
-    `parent & rule.node_state_masks[state]`; the child holds, for each edge
+    `parent & NodeKernel(rule).edges[state]`; the child holds, for each edge
     RMT r, the sibling set of r mod d^(m-1).
     """
     if not 0 <= state < rule.params.d:
@@ -220,7 +233,7 @@ def build_full_tree(rule: Rule, n: int) -> FullTree:
         iota = n - child_level  # restriction parameter when 1 <= iota <= m-1
         for gamma, count in current.items():
             for x in range(p.d):
-                total = node_total(gamma & rule.node_state_masks[x])
+                total = node_total(gamma & kernel.edges[x])
                 sizes.add(total)
                 if total == 0:
                     complete = False

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revca import classifier, debruijn
+from revca import classifier, debruijn, mintree
 from revca.classifier import (
     CAClass,
     IrreversibilityExpression,
@@ -348,7 +348,7 @@ class TestWalk:
         # (3,3) 001201210220120102112012021 stops at horizon 10; its walk
         # passes 50 nodes on one level well before that
         rule = rule33("001201210220120102112012021")
-        monkeypatch.setattr(classifier, "DEFAULT_TREE_LIMIT", 50)
+        monkeypatch.setattr(mintree, "DEFAULT_TREE_LIMIT", 50)
         with pytest.raises(ValueError, match="unrolled tree level .* exceeds 50 nodes"):
             walk_violations(rule, 10)
 

@@ -34,6 +34,19 @@ def third_state_rule() -> str:
     return str(wolfram_decimal(rule))
 
 
+def count_walks(monkeypatch):
+    """The rules of every pair-graph walk constructed from now on."""
+    walks = []
+
+    class CountedWalk(debruijn._PairWalk):
+        def __init__(self, rule):
+            walks.append(rule)
+            super().__init__(rule)
+
+    monkeypatch.setattr(debruijn, "_PairWalk", CountedWalk)
+    return walks
+
+
 class TestClassify:
     def test_eca75_json(self, capsys):
         code, out, _ = run(
@@ -154,14 +167,7 @@ class TestCheckAndOracle:
 
     def test_check_walks_the_pair_graph_once(self, capsys, monkeypatch):
         # the oracle verdict comes from classify's own cross-check
-        walks = []
-
-        class CountedWalk(debruijn._PairWalk):
-            def __init__(self, rule):
-                walks.append(rule)
-                super().__init__(rule)
-
-        monkeypatch.setattr(debruijn, "_PairWalk", CountedWalk)
+        walks = count_walks(monkeypatch)
         rule = str(wolfram_decimal(linear_rule(2, (1, 0, 1, 0, 0, 1))))
         code, out, _ = run(
             capsys,
@@ -173,8 +179,10 @@ class TestCheckAndOracle:
         assert len(walks) == 1
 
     def test_check_past_capped_walk_exits_1(self, capsys, monkeypatch):
-        # classify verifies 40 sizes; size 100 goes to the oracle, which refuses it
+        # classify verifies 40 sizes; size 100 is refused as the oracle
+        # refuses it, without walking the pair graph again
         monkeypatch.setattr(debruijn, "WALK_STEP_LIMIT", 40)
+        walks = count_walks(monkeypatch)
         rule = str(wolfram_decimal(linear_rule(2, (1, 0, 1, 0, 0, 1))))
         code, out, err = run(
             capsys,
@@ -185,6 +193,17 @@ class TestCheckAndOracle:
         assert err == (
             "error: pair-graph walk saw no repeat in 40 steps, so size 100 is undecided\n"
         )
+        assert len(walks) == 1
+
+    def test_check_past_oracle_memory_limit_exits_1(self, capsys, monkeypatch):
+        # a shortcut decides the class, so classify's walk, refused before it
+        # allocates, is skipped; check refuses the size with the oracle's message
+        walks = count_walks(monkeypatch)
+        args = ("--states", "2", "--neighborhood", "9", "--rule", "0", "--n", "5")
+        code, out, err = run(capsys, "check", *args)
+        assert (code, out, len(walks)) == (1, "", 1)
+        assert err.startswith("error: pair-graph oracle") and "limit" in err
+        assert run(capsys, "oracle", *args, "--method", "pairgraph") == (1, "", err)
 
     def test_oracle_pairgraph_large_odd(self, capsys):
         code, out, _ = run(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from revca import mintree
 from revca.classifier import classify, is_reversible_for
 from revca.mintree import (
+    _placed,
     build_minimized,
     dump_json,
     exact_occurrences,
@@ -253,6 +254,21 @@ class TestSizes:
     def test_known_trees(self, d, m, text, nodes, height):
         tree = build_minimized(parse_rule(text, RuleParams(d, m)))
         assert (tree.unique_nodes, tree.height) == (nodes, height)
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_per_placement_statement(self, m):
+        # iota 0 rules out every n >= level + m, iota >= 1 the size level + iota
+        for level in (0, 1, 2, 7, 40):
+            for failed in range(1 << m):
+                bits = _placed(failed, level, m)
+                for n in range(level + 2 * m + 2):
+                    expected = (failed & 1 and n >= level + m) or any(
+                        failed >> iota & 1 and n == level + iota for iota in range(1, m)
+                    )
+                    assert bits >> n & 1 == expected, (failed, level, m, n)
+                assert (bits < 0) == bool(failed & 1)  # the set is infinite iff iota 0 failed
 
 
 class TestOccurrence:

@@ -57,7 +57,7 @@ class TestNodeBasics:
         assert gamma_sets(child1, p) == gamma_sets(
             as_gamma(p, (0, 1, 2, 3), (6, 7), (), (4, 5)), p
         )
-        edge0, edge1 = (root & rule.node_state_masks[x] for x in (0, 1))
+        edge0, edge1 = (root & NodeKernel(rule).edges[x] for x in (0, 1))
         # edges partition the parent by output state
         sets0, sets1, root_sets = (node_sets(g, p) for g in (edge0, edge1, root))
         for k in range(4):
@@ -68,7 +68,7 @@ class TestNodeBasics:
         rule = eca(75)
         empty = as_gamma(rule.params, (), (), (), ())
         child = child_node(empty, 1, rule)
-        assert node_total(empty & rule.node_state_masks[1]) == 0
+        assert node_total(empty & NodeKernel(rule).edges[1]) == 0
         assert node_total(child) == 0
 
     def test_rejects_bad_state(self):
@@ -207,7 +207,7 @@ class TestPackedKernel:
             assert failed == sum(node_violates(node, j, rule) << j for j in range(m))
             assert failed == sum(ref_violates(ref, j, rule) << j for j in range(m))
             assert kernel.failures(node, iotas) == failed & iotas
-            edge = node & rule.node_state_masks[state]
+            edge = node & kernel.edges[state]
             node = child_node(node, state, rule)
             ref_edge, ref = ref_child(ref, state, rule)
             assert tuple(node_sets(edge, p)) == ref_edge
@@ -217,6 +217,18 @@ class TestPackedKernel:
                 ref = ref_restrict(ref, iota, p)
         assert tuple(node_sets(node, p)) == ref
 
+    @pytest.mark.parametrize("d,m", KERNEL_SHAPES)
+    def test_state_masks_match_table(self, d, m):
+        # bit k*d^m + r of state x's mask is set iff table[r] = x, in every slot k
+        p = RuleParams(d, m)
+        rng = random.Random(10 * d + m)
+        rule = Rule(p, tuple(rng.randrange(d) for _ in range(p.table_size)))
+        expected = [0] * d
+        for k in range(p.node_width):
+            for r, x in enumerate(rule.table):
+                expected[x] |= 1 << (k * p.table_size + r)
+        assert list(NodeKernel(rule).edges) == expected
+
     @pytest.mark.parametrize("d,m", [(2, 12), (4, 6), (16, 3)])
     def test_largest_shapes(self, d, m):
         # d^m = 4096, the table limit: the root's children still hold one
@@ -224,7 +236,7 @@ class TestPackedKernel:
         p = RuleParams(d, m)
         rule = Rule(p, tuple(r % d for r in range(p.table_size)))
         child = child_node(root_node(p), 1, rule)
-        assert node_total(root_node(p) & rule.node_state_masks[1]) == p.node_width
+        assert node_total(root_node(p) & NodeKernel(rule).edges[1]) == p.node_width
         assert node_total(child) == p.table_size
         assert not node_violates(child, 0, rule)
         kernel = NodeKernel(rule)
